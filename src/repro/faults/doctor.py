@@ -26,8 +26,8 @@ retry backoff schedule's determinism and bounds.
 
 A fifth layer of **engines** self-tests (also outside the seeded
 plan) covers the tiered execution engines: each fast tier -- the
-compiled simulator, the monomorphic and vectorized annotate kernels,
-the fast timing loop -- re-runs one workload against its oracle tier
+compiled simulator, the staged annotate kernel, the fast timing loop
+-- re-runs one workload against its oracle tier
 and must agree field for field, and a forced-demotion drill
 (``REPRO_TIER_FAULT``)
 proves the divergence sentinel detects a corrupted fast tier, demotes
@@ -50,7 +50,7 @@ from typing import Optional
 from repro.faults import inject
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.harness.cache import TraceCache
-from repro.lvp.config import CONSTANT, SIMPLE
+from repro.lvp.config import CONSTANT, LIMIT, PERFECT, SIMPLE
 from repro.trace.annotate import annotate_trace
 from repro.trace.records import TRACE_COLUMNS, Trace
 from repro.trace.validate import validate_trace
@@ -65,8 +65,8 @@ JOURNAL_CHECKS = ("replay", "truncation", "tamper", "checkpoint",
                   "watchdog", "backoff")
 
 #: The engines-layer self-tests (tier agreement + forced demotion).
-ENGINE_CHECKS = ("trace_tier", "annotate_tier", "annotate_vector",
-                 "model_tier", "forced_demotion")
+ENGINE_CHECKS = ("trace_tier", "annotate_tier", "model_tier",
+                 "forced_demotion")
 
 #: The serve-layer self-tests (service control plane, in-process).
 SERVE_CHECKS = ("protocol", "admission", "coalesce", "deadline",
@@ -362,14 +362,12 @@ def _engine_self_tests(trace: Trace, benchmark: str,
 
         check("trace_tier", "compiled vs interp",
               guard.diff_executions(execute("compiled"), execute("interp")))
-        check("annotate_tier", "mono vs general (Simple)",
-              guard.diff_annotations(
-                  annotate_trace(trace, SIMPLE, kernel="mono"),
-                  annotate_trace(trace, SIMPLE, kernel="general")))
-        check("annotate_vector", "vector vs general (Simple)",
-              guard.diff_annotations(
-                  annotate_trace(trace, SIMPLE, kernel="vector"),
-                  annotate_trace(trace, SIMPLE, kernel="general")))
+        check("annotate_tier", "vector vs general (Simple, Limit, Perfect)",
+              [f"{config.name}: {problem}"
+               for config in (SIMPLE, LIMIT, PERFECT)
+               for problem in guard.diff_annotations(
+                   annotate_trace(trace, config, kernel="vector"),
+                   annotate_trace(trace, config, kernel="general"))])
         annotated = annotate_trace(trace, SIMPLE)
         check("model_tier", "fast vs reference (PPC 620)",
               guard.diff_model_results(

@@ -62,13 +62,9 @@ LEGACY_ENV = {"REPRO_ENGINE": "interp",
               "REPRO_ANNOTATE_KERNEL": "general",
               "REPRO_MODEL_ENGINE": "reference"}
 
-#: Environment overrides pinning every tier to its fast path.  The
-#: annotate knob is ``auto``, not ``vector``: exhibits also annotate
-#: configs the fast kernels cannot take (deep history, perfect,
-#: stride, gshare), and ``auto`` steps down the vector -> mono ->
-#: general ladder there while forcing ``vector`` would refuse.
+#: Environment overrides pinning every tier to its fast path.
 TIERED_ENV = {"REPRO_ENGINE": "compiled",
-              "REPRO_ANNOTATE_KERNEL": "auto",
+              "REPRO_ANNOTATE_KERNEL": "vector",
               "REPRO_MODEL_ENGINE": "fast"}
 
 

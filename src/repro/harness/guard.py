@@ -1,8 +1,8 @@
 """Guarded tier execution: divergence sentinels + degradation ladder.
 
-PR 5 made the fast tiers (compiled VRISC blocks, the monomorphic
-annotate kernel, the fast timing loops) the default, with their
-original implementations kept as differential oracles.  This module
+The fast tiers (compiled VRISC blocks, the staged annotate kernel, the
+fast timing loops) are the default, with their original
+implementations kept as differential oracles.  This module
 puts those oracles to work *at run time*:
 
 **Divergence sentinels.**  A seeded, label-keyed sampler re-executes a
@@ -15,24 +15,24 @@ wrong fast tier is not a failed benchmark but a *demotion*.
 **Degradation ladder.**  On divergence, any fault, or a watchdog
 timeout inside a fast tier, the guard demotes the unit's (benchmark,
 stage, target) one rung down its ladder -- compiled→interp,
-vector→mono→general, fast-model→reference -- retries in place, and
+vector→general, fast-model→reference -- retries in place, and
 records a :class:`TierDemotion`: counted in the ``repro.obs``
 benchmark scope (``tier/<stage>/...``), journalled by the run journal,
 and rendered as a "Tier notes" block under the exhibit.  The demotion
 is sticky for the session, so a bad compiled block cannot keep
-corrupting its benchmark's later units; a key demoted mid-ladder
-(vector→mono) keeps the remaining rungs guarded, so a later divergence
-can walk it the rest of the way to the oracle.
+corrupting its benchmark's later units.
 
 Sampling is keyed by ``crc32(seed:label)`` on the unit's stable label,
 never by call order, so serial and parallel runs sample (and demote)
 identically and the byte-identical-stdout contract holds.
 
 When a tier is *pinned* via its environment knob (``REPRO_ENGINE``,
-``REPRO_ANNOTATE_KERNEL``, ``REPRO_MODEL_ENGINE``) the guard steps
-aside entirely: an explicitly requested tier is what the user measures
-(the differential CI jobs rely on this), and pinning the oracle tier
-is exactly how one produces the demotion-free comparison run.
+``REPRO_ANNOTATE_KERNEL``, ``REPRO_MODEL_ENGINE``) to a concrete tier
+name the guard steps aside entirely: an explicitly requested tier is
+what the user measures (the differential CI jobs rely on this), and
+pinning the oracle tier is exactly how one produces the demotion-free
+comparison run.  ``auto`` is the default choice, not a pin, and keeps
+the guard.
 
 Chaos knob: ``REPRO_TIER_FAULT=<benchmark>[:<stage>]`` deterministically
 corrupts that benchmark's fast-tier result (via
@@ -48,7 +48,7 @@ import os
 import warnings
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -75,11 +75,12 @@ TIER_FAULT_ENV = "REPRO_TIER_FAULT"
 #: Demotions step one rung at a time; the last entry is the oracle.
 TIER_LADDER = {
     "trace": ("compiled", "interp"),
-    "annotate": ("vector", "mono", "general"),
+    "annotate": ("vector", "general"),
     "model": ("fast", "reference"),
 }
 
-#: stage -> the env knob that pins its tier (guard steps aside if set).
+#: stage -> the env knob that pins its tier (guard steps aside if it
+#: names a concrete tier).
 _PIN_ENVS = {
     "trace": "REPRO_ENGINE",
     "annotate": "REPRO_ANNOTATE_KERNEL",
@@ -289,33 +290,21 @@ class TierGuard:
                              f"{name}/trace/{target}", run)
 
     def run_annotate(self, name: str, target: str, trace, config):
-        """Annotation with the vector→mono→general ladder.
+        """Annotation with the vector→general ladder.
 
-        The ladder is filtered to the config's eligible kernels: deep
-        histories drop the ``vector`` rung, and configurations the
-        monomorphic kernel cannot handle either (Perfect, stride, ...)
-        resolve to the general path anyway, so the guard runs them
+        A profile-filtered configuration has no staged kernel: it
+        resolves to the general path anyway, so the guard runs it
         directly -- there is no faster tier to verify.
         """
-        from repro.trace.annotate import (
-            annotate_trace,
-            mono_eligible,
-            vector_eligible,
-        )
+        from repro.trace.annotate import annotate_trace, vector_eligible
 
         def run(kernel: str):
             return annotate_trace(trace, config, kernel=kernel)
 
-        tiers = ["general"]
-        if mono_eligible(config):
-            tiers.insert(0, "mono")
-            if vector_eligible(config):
-                tiers.insert(0, "vector")
-        if len(tiers) == 1:
+        if not vector_eligible(config):
             return self._pinned(name, "annotate", run, None)
         return self._guarded(name, "annotate", target,
-                             f"{name}/annotate/{target}/{config.name}", run,
-                             tiers=tuple(tiers))
+                             f"{name}/annotate/{target}/{config.name}", run)
 
     def run_model(self, name: str, target: str, label: str,
                   runner: Callable):
@@ -337,24 +326,18 @@ class TierGuard:
         return run(pinned)
 
     def _guarded(self, name: str, stage: str, target: str, label: str,
-                 run: Callable, tiers: Optional[tuple] = None):
-        if tiers is None:
-            tiers = TIER_LADDER[stage]
-        if os.environ.get(_PIN_ENVS[stage]):
+                 run: Callable):
+        if os.environ.get(_PIN_ENVS[stage], "auto") not in ("", "auto"):
             # An explicitly pinned tier is what the user asked to
             # measure: no sentinel, no ladder.  (This is also how the
             # oracle-only comparison run is produced.)
             return self._pinned(name, stage, run, None)
         key = (name, stage, target)
-        demotion = self._demoted.get(key)
-        if demotion is not None:
-            # Sticky: resume the ladder at the rung the key was demoted
-            # to (the remaining rungs stay guarded against the oracle).
-            if demotion.to_tier in tiers:
-                tiers = tiers[tiers.index(demotion.to_tier):]
-            else:
-                tiers = tiers[-1:]
-        return self._run_ladder(key, label, run, tuple(tiers))
+        tiers = TIER_LADDER[stage]
+        if key in self._demoted:
+            # Sticky: a demoted key runs straight on its oracle tier.
+            tiers = tiers[-1:]
+        return self._run_ladder(key, label, run, tiers)
 
     def _run_ladder(self, key, label: str, run: Callable, tiers: tuple):
         """Run one unit on the fastest rung of *tiers*, sentinel-checked

@@ -30,19 +30,19 @@ data flow into three stages:
   configuration (the differential suite in
   ``tests/harness/test_sweep.py`` holds this cell by cell).
 
-Stage A has inlined fast paths for the common predictor shapes (the
-same trick, and the same differential obligation, as the monomorphic
-annotation kernel): depth-1 last-value prediction is fully vectorized,
-and the stride/FCM/last-N/hybrid families run as flat loops over table
+Stage A has inlined fast paths for the common predictor shapes:
+depth-1 last-value prediction is fully vectorized, and the
+history/stride/FCM/last-N/hybrid families run as flat loops over table
 lists instead of per-load method dispatch.  Unusual shapes (tagged,
 gshare) fall back to the real predictor objects via
 :func:`~repro.lvp.unit.build_predictor`, which also guarantees any
 future family works unoptimized before it works fast.
 
-The stage machinery itself lives in :mod:`repro.trace.kernels` (shared
-with the standard ``annotate_trace`` path's ``vector`` kernel); this
-module keeps the grid planning, sharding, journalling, and exhibit
-rendering on top of it.
+The stages and the memoised per-config loop that wires them
+(:func:`~repro.trace.kernels.run_stages`) live in
+:mod:`repro.trace.kernels`, shared with the standard
+``annotate_trace`` path; this module keeps the grid planning,
+sharding, journalling, and exhibit rendering on top of it.
 
 Chunks of the grid shard across worker processes exactly like the
 parallel experiment engine (grouped so stage-A/B work is amortized
@@ -81,24 +81,13 @@ from repro.harness.journal import (
 from repro.lvp.config import LVPConfig
 from repro.lvp.unit import LVPStats
 from repro.trace.kernels import (
-    LctContext,
     SweepEvents,
     decode_events,
-    pc_indices,
-    run_stage_a,
-    run_stage_b,
-    run_stage_c,
+    lct_key,
+    predictor_key,
+    run_stages,
 )
 from repro.trace.records import Trace
-
-#: Backwards-compatible private aliases: the stage kernels were hoisted
-#: into :mod:`repro.trace.kernels` so the ``vector`` annotation tier
-#: shares them; the sweep's call sites (and older callers) keep the
-#: original names.
-_pc_indices = pc_indices
-_run_stage_a = run_stage_a
-_run_stage_b = run_stage_b
-_LctContext = LctContext
 
 #: Sweep document schema identifier.
 SWEEP_SCHEMA_ID = "repro.sweep/v1"
@@ -117,8 +106,6 @@ _MANIFEST = "manifest.json"
 _JOURNAL = "journal.jsonl"
 _CHECKPOINTS = "checkpoints"
 
-_U64 = (1 << 64) - 1
-
 
 def sweep_runs_dir_from_env(default: Optional[str] = None) -> pathlib.Path:
     """The configured sweep-runs directory (``REPRO_SWEEP_RUNS_DIR``)."""
@@ -128,39 +115,7 @@ def sweep_runs_dir_from_env(default: Optional[str] = None) -> pathlib.Path:
 
 
 # ---------------------------------------------------------------------------
-# Stage keys.
-# ---------------------------------------------------------------------------
-def predictor_key(config: LVPConfig) -> tuple:
-    """The stage-A sharing key: fields the value predictor depends on.
-
-    Canonicalized so configurations differing only in fields their
-    predictor family ignores (selection for stride, say) share one
-    stage-A pass.
-    """
-    if config.predictor == "history":
-        if config.index_mode == "gshare":
-            return ("history", config.lvpt_entries, config.history_depth,
-                    config.selection, config.lvpt_tagged, "gshare",
-                    config.ghr_bits)
-        # At depth 1 the selection policy is irrelevant (a one-element
-        # history makes "any stored value" and "the MRU value" the
-        # same predicate), so both policies share one pass.
-        selection = "mru" if config.history_depth == 1 else config.selection
-        return ("history", config.lvpt_entries, config.history_depth,
-                selection, config.lvpt_tagged, "pc", 0)
-    depth = config.history_depth \
-        if config.predictor in ("fcm", "lastn") else 1
-    return (config.predictor, config.lvpt_entries, depth,
-            "mru", False, "pc", 0)
-
-
-def lct_key(config: LVPConfig) -> tuple:
-    """The stage-B sharing key: predictor key + LCT shape."""
-    return predictor_key(config) + (config.lct_entries, config.lct_bits)
-
-
-# ---------------------------------------------------------------------------
-# Stage C: the CVU pass + stats assembly.
+# Sweep cells.
 # ---------------------------------------------------------------------------
 @dataclass
 class SweepCell:
@@ -199,17 +154,6 @@ class SweepCell:
         }
 
 
-def _stage_c(events: SweepEvents, hits, hit_list: list,
-             idxs: list, context: LctContext, config: LVPConfig,
-             keep_outcomes: bool) -> SweepCell:
-    """Simulate the CVU and assemble one configuration's cell."""
-    full, stats = run_stage_c(events, hits, hit_list, idxs, context,
-                              config)
-    digest = _sha256(np.ascontiguousarray(full).tobytes())
-    return SweepCell(config=config, stats=stats, outcome_digest=digest,
-                     outcomes=full if keep_outcomes else None)
-
-
 # ---------------------------------------------------------------------------
 # The batched evaluator.
 # ---------------------------------------------------------------------------
@@ -221,8 +165,8 @@ def evaluate_configs(trace: Trace, configs: Sequence[LVPConfig],
 
     Returns cells in *configs* order, each bit-identical (outcomes and
     statistics) to ``annotate_trace(trace, config)``.  Perfect-oracle
-    and profile-filtered configurations are outside the sweep's factored
-    data flow and are rejected.
+    configurations have no table design to sweep and profile-filtered
+    ones are outside the staged data flow; both are rejected.
     """
     for config in configs:
         if config.perfect or config.profile_filter is not None:
@@ -232,29 +176,12 @@ def evaluate_configs(trace: Trace, configs: Sequence[LVPConfig],
     if events is None:
         needs_branches = any(c.index_mode == "gshare" for c in configs)
         events = decode_events(trace, branches=needs_branches)
-    stage_a: dict[tuple, tuple[np.ndarray, list, list]] = {}
-    stage_b: dict[tuple, _LctContext] = {}
-    lct_indices: dict[int, np.ndarray] = {}
     cells: list[SweepCell] = []
-    for config in configs:
-        akey = predictor_key(config)
-        a_entry = stage_a.get(akey)
-        if a_entry is None:
-            hits, idxs = _run_stage_a(events, config)
-            a_entry = stage_a[akey] = (hits, idxs, hits.tolist())
-        hits, idxs, hit_list = a_entry
-        bkey = lct_key(config)
-        context = stage_b.get(bkey)
-        if context is None:
-            lidx = lct_indices.get(config.lct_entries)
-            if lidx is None:
-                lidx = lct_indices[config.lct_entries] = _pc_indices(
-                    events.load_pcs_np, config.lct_entries)
-            classes = _run_stage_b(events, hit_list, config.lct_entries,
-                                   config.lct_bits, lidx, hits_np=hits)
-            context = stage_b[bkey] = _LctContext(hits, classes)
-        cells.append(_stage_c(events, hits, hit_list, idxs, context,
-                              config, keep_outcomes))
+    for config, (full, stats) in zip(configs, run_stages(events, configs)):
+        digest = _sha256(np.ascontiguousarray(full).tobytes())
+        cells.append(SweepCell(config=config, stats=stats,
+                               outcome_digest=digest,
+                               outcomes=full if keep_outcomes else None))
     return cells
 
 

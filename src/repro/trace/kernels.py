@@ -1,13 +1,15 @@
-"""Shared annotation kernels: the factored LVP data flow.
+"""The staged annotation kernel: the factored LVP data flow.
 
-The sweep engine (PR 8) proved that one trace decode plus three
-factored stages -- a value-predictor pass, an LCT classifier pass, and
-a CVU replay over only the constant-classified loads -- reproduces
-``annotate_trace`` bit-for-bit while sharing almost all of the work.
-This module is that machinery hoisted out of ``repro.harness.sweep``
-so the standard annotation path can use it too: the ``vector`` kernel
-in :mod:`repro.trace.annotate` runs exactly one configuration through
-the same stages, and the sweep engine amortizes them across a grid.
+One trace decode plus three factored stages -- a value-predictor pass
+(the LVPT), an LCT classifier pass, and a CVU replay over only the
+constant-classified loads -- reproduce the general
+:class:`~repro.lvp.unit.LVPUnit` replay bit-for-bit while sharing
+almost all of the work between configurations.  :func:`run_stages`
+wires the three stages together, memoising stage A per predictor key
+and stage B per LCT key; it is the one implementation behind both the
+standard ``annotate_trace`` path (the ``vector`` tier of
+:mod:`repro.trace.annotate`, one configuration at a time) and the
+sweep engine in :mod:`repro.harness.sweep` (a whole grid at once).
 
 Layering: this module sits *below* both ``repro.trace.annotate`` and
 ``repro.harness.sweep`` and must import from neither (it is the reason
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -51,7 +53,6 @@ class SweepEvents:
     #: Per dynamic load, in program order (Python lists for the stage
     #: loops, numpy for the vectorized paths).
     load_pcs: list
-    load_addrs: list
     load_values: list
     load_pcs_np: np.ndarray
     load_values_np: np.ndarray
@@ -103,7 +104,6 @@ def decode_events(trace: Trace, branches: bool = True) -> SweepEvents:
     events = SweepEvents(
         n_records=len(trace),
         load_pcs=load_pcs_np.tolist(),
-        load_addrs=trace.addr[load_positions].tolist(),
         load_values=load_values_np.tolist(),
         load_pcs_np=load_pcs_np,
         load_values_np=load_values_np,
@@ -153,35 +153,34 @@ def stage_a_last_value(events: SweepEvents,
 
 def stage_a_history_pc(events: SweepEvents,
                        config: LVPConfig) -> tuple[np.ndarray, list]:
-    """Inline pass for the paper's PC-indexed untagged deep-history
-    LVPT (mirrors the monomorphic kernel's LVPT half exactly)."""
-    mask = config.lvpt_entries - 1
+    """Inline :class:`~repro.lvp.lvpt.LVPT` pass for the paper's
+    PC-indexed untagged deep-history table (MRU-first histories).
+
+    Hits collect in a ``bytearray`` and become one numpy view at the
+    end: a numpy element store per load would cost more than the
+    history update itself.
+    """
     table: list[list[int]] = [[] for _ in range(config.lvpt_entries)]
     depth = config.history_depth
     sel_perfect = config.selection == "perfect"
-    hits = np.empty(events.n_loads, dtype=bool)
-    idxs: list[int] = []
-    append_idx = idxs.append
-    for i, (pc, value) in enumerate(zip(events.load_pcs,
-                                        events.load_values)):
-        idx = (pc >> 2) & mask
-        append_idx(idx)
+    idxs = pc_indices(events.load_pcs_np, config.lvpt_entries).tolist()
+    hits = bytearray(len(idxs))
+    for i, (idx, value) in enumerate(zip(idxs, events.load_values)):
         hist = table[idx]
-        if hist:
-            hits[i] = (value in hist) if sel_perfect \
-                else hist[0] == value
-            if hist[0] != value:
-                try:
-                    hist.remove(value)
-                except ValueError:
-                    pass
-                hist.insert(0, value)
-                if len(hist) > depth:
-                    hist.pop()
-        else:
-            hits[i] = False
+        if not hist:
             hist.append(value)
-    return hits, idxs
+        elif hist[0] == value:
+            hits[i] = 1  # an MRU hit is a hit under either selection
+        else:
+            # MRU promotion, bounded history.
+            if value in hist:
+                if sel_perfect:
+                    hits[i] = 1
+                hist.remove(value)
+            elif len(hist) == depth:
+                hist.pop()
+            hist.insert(0, value)
+    return np.frombuffer(hits, dtype=bool), idxs
 
 
 def stage_a_stride(events: SweepEvents,
@@ -406,12 +405,12 @@ _PREDICT = int(LoadClass.PREDICT)
 _CONST = int(LoadClass.CONSTANT)
 
 
-def run_stage_b(events: SweepEvents, hit_list: list,
+def run_stage_b(events: SweepEvents, hits: np.ndarray,
                 lct_entries: int, lct_bits: int,
-                lidx=None, hits_np: Optional[np.ndarray] = None
-                ) -> np.ndarray:
-    """Evolve the LCT counters over the ``would_hit`` stream; returns
-    each load's classification code (uint8 LoadClass values).
+                lidx: Optional[np.ndarray] = None) -> np.ndarray:
+    """Evolve the LCT counters over the ``would_hit`` stream *hits*;
+    returns each load's classification code (uint8 LoadClass values).
+    *lidx* optionally passes precomputed LCT indices.
 
     Fully vectorized.  An LCT entry is a saturating counter: each load
     applies ``c -> clip(c +- 1, 0, max)``, and clip-affine maps
@@ -424,8 +423,6 @@ def run_stage_b(events: SweepEvents, hit_list: list,
     """
     if lidx is None:
         lidx = pc_indices(events.load_pcs_np, lct_entries)
-    else:
-        lidx = np.asarray(lidx, dtype=np.int64)
     n = events.n_loads
     lct_max = (1 << lct_bits) - 1
     # Counter value -> LoadClass code.
@@ -435,14 +432,12 @@ def run_stage_b(events: SweepEvents, hit_list: list,
         class_of[lct_max - 1] = _PREDICT
     if n == 0:
         return np.empty(0, dtype=np.uint8)
-    if hits_np is None:
-        hits_np = np.fromiter(hit_list, dtype=bool, count=n)
 
     order = np.argsort(lidx, kind="stable")
     seg = lidx[order]
     # Per-load step function (a, lo, hi): clip(c + a, 0, lct_max).
     # int32 is ample: |a| <= n < 2**31 and lo/hi stay within it too.
-    comp_a = np.where(hits_np[order], 1, -1).astype(np.int32)
+    comp_a = np.where(hits[order], 1, -1).astype(np.int32)
     comp_lo = np.zeros(n, dtype=np.int32)
     comp_hi = np.full(n, lct_max, dtype=np.int32)
 
@@ -567,8 +562,8 @@ class LctContext:
 # ---------------------------------------------------------------------------
 # Stage C: the CVU pass + outcome/stats assembly.
 # ---------------------------------------------------------------------------
-def run_stage_c(events: SweepEvents, hits: np.ndarray, hit_list: list,
-                idxs: list, context: LctContext,
+def run_stage_c(events: SweepEvents, hits: np.ndarray, idxs: list,
+                context: LctContext,
                 config: LVPConfig) -> tuple[np.ndarray, LVPStats]:
     """Simulate the CVU over the constant-classified loads and
     assemble one configuration's full per-record outcome array and
@@ -674,3 +669,89 @@ def run_stage_c(events: SweepEvents, hits: np.ndarray, hit_list: list,
     full = np.full(events.n_records, NOT_A_LOAD, dtype=np.uint8)
     full[events.load_positions] = out
     return full, stats
+
+
+def stage_perfect(events: SweepEvents) -> tuple[np.ndarray, LVPStats]:
+    """The Perfect oracle: every load is a correct prediction.
+
+    A perfect unit builds no tables (no LVPT, LCT or CVU), so there is
+    nothing to stage; only the loads and stores are counted.
+    """
+    n_loads = events.n_loads
+    full = np.full(events.n_records, NOT_A_LOAD, dtype=np.uint8)
+    full[events.load_positions] = int(LoadOutcome.CORRECT)
+    stats = LVPStats(loads=n_loads, stores=events.n_stores,
+                     predictable_predicted=n_loads)
+    stats.outcomes[LoadOutcome.CORRECT] = n_loads
+    return full, stats
+
+
+# ---------------------------------------------------------------------------
+# The staged driver: stage keys + memoised per-config loop.
+# ---------------------------------------------------------------------------
+def predictor_key(config: LVPConfig) -> tuple:
+    """The stage-A sharing key: fields the value predictor depends on.
+
+    Canonicalized so configurations differing only in fields their
+    predictor family ignores (selection for stride, say) share one
+    stage-A pass.
+    """
+    if config.predictor == "history":
+        if config.index_mode == "gshare":
+            return ("history", config.lvpt_entries, config.history_depth,
+                    config.selection, config.lvpt_tagged, "gshare",
+                    config.ghr_bits)
+        # At depth 1 the selection policy is irrelevant (a one-element
+        # history makes "any stored value" and "the MRU value" the
+        # same predicate), so both policies share one pass.
+        selection = "mru" if config.history_depth == 1 else config.selection
+        return ("history", config.lvpt_entries, config.history_depth,
+                selection, config.lvpt_tagged, "pc", 0)
+    depth = config.history_depth \
+        if config.predictor in ("fcm", "lastn") else 1
+    return (config.predictor, config.lvpt_entries, depth,
+            "mru", False, "pc", 0)
+
+
+def lct_key(config: LVPConfig) -> tuple:
+    """The stage-B sharing key: predictor key + LCT shape."""
+    return predictor_key(config) + (config.lct_entries, config.lct_bits)
+
+
+def run_stages(events: SweepEvents, configs: Iterable[LVPConfig]
+               ) -> Iterator[tuple[np.ndarray, LVPStats]]:
+    """Annotate the decoded trace under each of *configs*, in order.
+
+    Yields one ``(outcomes, stats)`` pair per configuration -- the full
+    per-record outcome array and :class:`~repro.lvp.unit.LVPStats`,
+    bit-identical to the general :class:`~repro.lvp.unit.LVPUnit`
+    replay.  Stage A runs once per :func:`predictor_key`, stage B once
+    per :func:`lct_key`, stage C once per configuration; Perfect
+    configurations take :func:`stage_perfect`.  Profile-filtered
+    configurations are outside this data flow: callers route them to
+    the general path.  *events* must carry the branch stream
+    (``decode_events(..., branches=True)``) if any configuration uses
+    gshare indexing.
+    """
+    stage_a: dict[tuple, tuple[np.ndarray, list]] = {}
+    stage_b: dict[tuple, LctContext] = {}
+    lct_indices: dict[int, np.ndarray] = {}
+    for config in configs:
+        if config.perfect:
+            yield stage_perfect(events)
+            continue
+        akey = predictor_key(config)
+        if akey not in stage_a:
+            stage_a[akey] = run_stage_a(events, config)
+        hits, idxs = stage_a[akey]
+        bkey = lct_key(config)
+        context = stage_b.get(bkey)
+        if context is None:
+            lidx = lct_indices.get(config.lct_entries)
+            if lidx is None:
+                lidx = lct_indices[config.lct_entries] = pc_indices(
+                    events.load_pcs_np, config.lct_entries)
+            classes = run_stage_b(events, hits, config.lct_entries,
+                                  config.lct_bits, lidx)
+            context = stage_b[bkey] = LctContext(hits, classes)
+        yield run_stage_c(events, hits, idxs, context, config)

@@ -7,6 +7,10 @@ tests request the same cache.
 
 from __future__ import annotations
 
+import shutil
+import subprocess
+import tempfile
+
 import pytest
 
 from repro.harness import Session
@@ -19,6 +23,69 @@ def pytest_addoption(parser):
         "--update-golden", action="store_true", default=False,
         help="rewrite the golden exhibit JSON under tests/golden/ from "
              "the current code instead of comparing against it")
+
+
+def pytest_configure(config):
+    """Give Hypothesis a throwaway home before collection touches it.
+
+    Hypothesis keeps its example database and constants cache under
+    ``.hypothesis/`` in the working directory, and creates it while
+    test modules are collected -- before any fixture can run.
+    """
+    from hypothesis.configuration import set_hypothesis_home_dir
+
+    config._hypothesis_home = tempfile.mkdtemp(prefix="repro-hypothesis-")
+    set_hypothesis_home_dir(config._hypothesis_home)
+
+
+def pytest_unconfigure(config):
+    home = getattr(config, "_hypothesis_home", None)
+    if home is not None:
+        shutil.rmtree(home, ignore_errors=True)
+
+
+def _checkout_status(root: str):
+    """``git status --porcelain --ignored`` entries of *root* (build
+    caches excluded), or None outside a git checkout.  Untracked and
+    ignored files are listed one by one, so a file added inside an
+    ignored directory that already exists (``.repro/``) still shows."""
+    try:
+        proc = subprocess.run(
+            ["git", "status", "--porcelain", "--ignored",
+             "--untracked-files=all"], cwd=root,
+            capture_output=True, text=True, timeout=60)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if proc.returncode != 0:
+        return None
+    return {line for line in proc.stdout.splitlines()
+            if "__pycache__/" not in line}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def hermetic_checkout(request, tmp_path_factory):
+    """Keep run journals out of the checkout, and prove it.
+
+    Every ``repro experiment``/``repro sweep`` a test starts -- in
+    process or as a subprocess inheriting the environment -- journals
+    under a session tmp dir instead of ``.repro/``.  At session end the
+    checkout must show no ``git status --porcelain --ignored`` entry
+    that it did not show at the start (``--update-golden`` runs are
+    exempt: rewriting the golden files is their purpose).
+    """
+    root = str(request.config.rootpath)
+    checked = not request.config.getoption("--update-golden")
+    before = _checkout_status(root) if checked else None
+    runs = tmp_path_factory.mktemp("runs")
+    patch = pytest.MonkeyPatch()
+    patch.setenv("REPRO_RUNS_DIR", str(runs / "experiments"))
+    patch.setenv("REPRO_SWEEP_RUNS_DIR", str(runs / "sweeps"))
+    yield
+    patch.undo()
+    after = _checkout_status(root)
+    if before is not None and after is not None:
+        gained = sorted(after - before)
+        assert not gained, f"tests wrote into the checkout: {gained}"
 
 
 @pytest.fixture(scope="session")

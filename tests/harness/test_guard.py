@@ -186,6 +186,18 @@ class TestSentinelCatchesCorruption:
         session.trace("grep", "ppc")
         assert session.demotions == []
 
+    @pytest.mark.parametrize("stage", sorted(TIER_LADDER))
+    def test_auto_knob_keeps_the_guard(self, monkeypatch, stage):
+        """``auto`` is the default tier choice, not a pin."""
+        from repro.lvp.config import SIMPLE
+        for name in ("REPRO_ENGINE", "REPRO_ANNOTATE_KERNEL",
+                     "REPRO_MODEL_ENGINE"):
+            monkeypatch.setenv(name, "auto")
+        monkeypatch.setenv("REPRO_TIER_FAULT", f"grep:{stage}")
+        session = Session(scale="tiny", benchmarks=("grep",))
+        session.ppc_result("grep", lvp=SIMPLE)
+        assert [d.stage for d in session.demotions] == [stage]
+
     def test_forced_fault_demotes_identically_across_sessions(
             self, monkeypatch):
         monkeypatch.setenv("REPRO_TIER_FAULT", "grep:trace")

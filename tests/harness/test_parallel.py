@@ -232,8 +232,10 @@ class TestCLIByteEquivalence:
 
     @staticmethod
     def _run(jobs: int, extra_env=None):
+        # No tier or fault knob may leak in; the session's runs dir
+        # (tests/conftest.py) keeps the journals out of the checkout.
         env = {k: v for k, v in os.environ.items()
-               if not k.startswith("REPRO_")}
+               if not k.startswith("REPRO_") or k == "REPRO_RUNS_DIR"}
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src)
         env.update(extra_env or {})

@@ -1,15 +1,21 @@
-"""Differential property test: compiled engine vs interpreter.
+"""Differential property tests: each fast tier vs its oracle.
 
 Hypothesis generates random VRISC programs -- ALU work, memory traffic,
 and forward branches (which force basic-block boundaries in the
 compiler) -- and every program must produce a bit-identical trace and
-register file under both execution engines.
+register file under both execution engines.  Run as a loop, the same
+programs feed the annotate ladder: the staged kernels must annotate
+every stock LVP config exactly as the general unit does.
 """
 
-from hypothesis import given, settings, strategies as st
+import dataclasses
+
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.isa import CodeBuilder
+from repro.lvp.config import EXTENSION_CONFIGS, PAPER_CONFIGS
 from repro.sim import run_program
+from repro.trace.annotate import annotate_trace
 from repro.trace.records import TRACE_COLUMNS
 
 U64 = (1 << 64) - 1
@@ -38,12 +44,16 @@ _step = st.one_of(
 )
 
 
-def _build(steps):
+def _build(steps, iterations=1):
+    """*steps* as a program; ``iterations > 1`` wraps them in a counted
+    loop (r28), so every load PC executes repeatedly."""
     builder = CodeBuilder("prop")
     builder.data.label("buf")
     builder.data.space(16)
     builder.label("main")
     builder.load_addr(30, "buf")
+    builder.li(28, iterations)
+    builder.label("loop")
     for index, step in enumerate(steps):
         kind = step[0]
         if kind == "reg":
@@ -67,6 +77,8 @@ def _build(steps):
             getattr(builder, op)(a, b, label)
             builder.addi(dst, dst, 1)
             builder.label(label)
+    builder.addi(28, 28, -1)
+    builder.bnez(28, "loop")
     builder.halt()
     return builder.build()
 
@@ -82,3 +94,37 @@ def test_engines_bit_identical_on_random_programs(steps):
     for name, _ in TRACE_COLUMNS:
         assert (getattr(interp.trace, name)
                 == getattr(compiled.trace, name)).all(), name
+
+
+#: The annotate property's steps add loop-varying values: the loop
+#: counter (r28) stored to a slot, or a slowly changing phase of it, so
+#: loaded values stay put for a while and then change.
+_loop_step = st.one_of(
+    _step,
+    st.tuples(st.just("store"), st.just(28), _slot, st.just(0),
+              st.just(0)),
+    st.tuples(st.just("imm"), st.just("srli"), _reg, st.just(28),
+              st.integers(1, 3)),
+)
+
+#: Every stock config, plus a shrunken copy whose 8-entry LVPT/LCT and
+#: 2-entry CVU make index aliasing and CVU eviction common.
+ANNOTATE_CONFIGS = tuple(
+    variant
+    for config in PAPER_CONFIGS + EXTENSION_CONFIGS
+    for variant in (config, dataclasses.replace(
+        config, name=f"{config.name}/8", lvpt_entries=8, lct_entries=8,
+        cvu_entries=min(config.cvu_entries, 2))))
+
+
+@seed(20241018)
+@given(st.lists(_loop_step, min_size=8, max_size=60), st.integers(2, 16))
+@settings(deadline=None, max_examples=40)
+def test_staged_annotation_matches_general_on_random_programs(
+        steps, iterations):
+    trace = run_program(_build(steps, iterations), name="prop").trace
+    for config in ANNOTATE_CONFIGS:
+        staged = annotate_trace(trace, config, kernel="vector")
+        general = annotate_trace(trace, config, kernel="general")
+        assert (staged.outcomes == general.outcomes).all(), config.name
+        assert staged.stats == general.stats, config.name

@@ -214,6 +214,9 @@ class TestDrainOp:
                 assert client.wait_until_ready(timeout=60.0)
                 acknowledged = client.drain()
                 assert acknowledged["draining"]
+            # The drain op alone must end the process; a SIGTERM from
+            # stop() racing its interpreter teardown would kill it.
+            daemon.proc.wait(timeout=60.0)
             code, stderr = daemon.stop(timeout=60.0)
             assert code == 0, stderr[-2000:]
             assert "drained" in stderr

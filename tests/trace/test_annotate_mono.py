@@ -1,9 +1,15 @@
-"""Differential suite: the monomorphic annotation kernel vs the general one.
+"""Regression checks for the configs of the retired ``mono`` kernel.
 
-The mono kernel exists only for speed; it must be bit-identical to the
-general kernel on every config it accepts, and must refuse (or be
-auto-routed away from) every config it cannot faithfully annotate.
+Simple, Constant and Limit -- the PC-indexed history configurations a
+dedicated single-loop kernel used to annotate -- now run on the staged
+(``vector``) tier like every other configuration without audit, fault
+hook or profile filter, and ``mono`` is an unknown kernel name.  These
+checks follow that kernel's old cases onto its successor; the full
+staged-vs-general differential (every stock config, workload and
+target) lives in ``test_vector.py``.
 """
+
+import dataclasses
 
 import pytest
 
@@ -18,60 +24,49 @@ from repro.lvp.config import (
     SIMPLE,
     STRIDE,
 )
+from repro.lvp.unit import LVPStats
 from repro.sim import run_program
 from repro.trace.annotate import (
     KERNELS,
     annotate_trace,
-    mono_eligible,
     resolve_kernel,
+    vector_eligible,
 )
 from repro.workloads.suite import NAMES, get_benchmark
 
-#: Configs the mono kernel can take (history predictor, pc index,
-#: untagged, unfiltered, not perfect).
-ELIGIBLE = (SIMPLE, CONSTANT, LIMIT)
-INELIGIBLE = (PERFECT, STRIDE, GSHARE)
-
-STATS_FIELDS = (
-    "loads", "stores", "predictable_predicted",
-    "predictable_not_predicted", "unpredictable_predicted",
-    "unpredictable_not_predicted", "cvu_insertions",
-    "cvu_store_invalidations", "cvu_demotions", "cvu_stale_hits",
-)
+#: The configs the retired kernel served.
+SERVED = (SIMPLE, CONSTANT, LIMIT)
+#: Any predictor family goes staged now; a profile filter is what keeps
+#: a config on the general path.
+INELIGIBLE = tuple(
+    dataclasses.replace(config, profile_filter=frozenset({0}))
+    for config in (PERFECT, STRIDE, GSHARE))
 
 
 def assert_annotations_equal(a, b):
     assert (a.outcomes == b.outcomes).all()
-    assert a.stats.outcomes == b.stats.outcomes
-    for field in STATS_FIELDS:
-        assert getattr(a.stats, field) == getattr(b.stats, field), field
+    for field in dataclasses.fields(LVPStats):
+        assert getattr(a.stats, field.name) == \
+            getattr(b.stats, field.name), field.name
 
 
 class TestEligibility:
-    @pytest.mark.parametrize("config", ELIGIBLE, ids=lambda c: c.name)
+    @pytest.mark.parametrize("config", SERVED, ids=lambda c: c.name)
     def test_eligible(self, config):
-        assert mono_eligible(config)
+        assert vector_eligible(config)
 
     @pytest.mark.parametrize("config", INELIGIBLE, ids=lambda c: c.name)
     def test_ineligible(self, config):
-        assert not mono_eligible(config)
+        assert not vector_eligible(config)
 
     def test_audit_and_fault_hook_disqualify(self):
-        assert not mono_eligible(SIMPLE, audit=True)
-        assert not mono_eligible(SIMPLE, fault_hook=lambda *a: None)
+        assert not vector_eligible(SIMPLE, audit=True)
+        assert not vector_eligible(SIMPLE, fault_hook=lambda *a: None)
 
 
 class TestKernelResolution:
     def test_kernels_tuple(self):
-        assert KERNELS == ("auto", "general", "mono", "vector")
-
-    def test_auto_picks_mono_when_eligible(self):
-        # SIMPLE is depth-1 so auto now prefers vector; LIMIT (deep
-        # history) is the mono-but-not-vector shape.
-        assert resolve_kernel("auto", LIMIT, False, None) == "mono"
-        assert resolve_kernel(None, LIMIT, False, None) == "mono"
-        assert resolve_kernel("auto", SIMPLE, False, None) == "vector"
-        assert resolve_kernel(None, SIMPLE, False, None) == "vector"
+        assert KERNELS == ("auto", "general", "vector")
 
     @pytest.mark.parametrize("config", INELIGIBLE, ids=lambda c: c.name)
     def test_auto_falls_back_to_general(self, config):
@@ -84,7 +79,8 @@ class TestKernelResolution:
 
     @pytest.mark.parametrize("config", INELIGIBLE, ids=lambda c: c.name)
     def test_forced_mono_on_ineligible_config_refused(self, config):
-        with pytest.raises(ConfigError, match="mono"):
+        with pytest.raises(ConfigError,
+                           match="unknown annotation kernel 'mono'"):
             resolve_kernel("mono", config, False, None)
 
     def test_unknown_kernel_rejected(self):
@@ -93,7 +89,7 @@ class TestKernelResolution:
 
     def test_env_overrides_argument(self, monkeypatch):
         monkeypatch.setenv("REPRO_ANNOTATE_KERNEL", "general")
-        assert resolve_kernel("mono", SIMPLE, False, None) == "general"
+        assert resolve_kernel("vector", SIMPLE, False, None) == "general"
 
 
 @pytest.fixture(scope="module")
@@ -114,19 +110,19 @@ def tiny_traces():
 def test_mono_bit_identical_simple(tiny_traces, name):
     trace = tiny_traces(name)
     general = annotate_trace(trace, SIMPLE, kernel="general")
-    mono = annotate_trace(trace, SIMPLE, kernel="mono")
-    assert_annotations_equal(general, mono)
+    staged = annotate_trace(trace, SIMPLE)
+    assert_annotations_equal(general, staged)
 
 
-@pytest.mark.parametrize("config", ELIGIBLE, ids=lambda c: c.name)
+@pytest.mark.parametrize("config", SERVED, ids=lambda c: c.name)
 @pytest.mark.parametrize("name", ("compress", "eqntott", "xlisp",
                                   "tomcatv"))
 def test_mono_bit_identical_all_eligible_configs(tiny_traces, name,
                                                  config):
     trace = tiny_traces(name)
     general = annotate_trace(trace, config, kernel="general")
-    mono = annotate_trace(trace, config, kernel="mono")
-    assert_annotations_equal(general, mono)
+    staged = annotate_trace(trace, config)
+    assert_annotations_equal(general, staged)
 
 
 @pytest.mark.parametrize(
@@ -140,7 +136,7 @@ def test_auto_matches_general_everywhere(tiny_traces, config):
 
 
 def test_audit_mode_still_works(tiny_traces):
-    """audit=True silently routes around the mono kernel."""
+    """audit=True silently routes to the general path."""
     trace = tiny_traces("grep")
     audited = annotate_trace(trace, SIMPLE, audit=True)
     plain = annotate_trace(trace, SIMPLE, kernel="general")
