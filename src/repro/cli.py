@@ -85,6 +85,7 @@ from repro.errors import ConfigError, JournalError
 from repro.harness.experiments import EXPERIMENTS, run_experiments
 from repro.harness.journal import (
     RunJournal,
+    WriteAheadJournal,
     build_manifest,
     find_run,
     new_run_id,
@@ -304,16 +305,14 @@ def _report_timing(session: Session) -> None:
         print(report.render(), file=sys.stderr)
 
 
-def _install_interrupt_handlers(journal: RunJournal,
-                                resume_command: Optional[str] = None):
+def _install_interrupt_handlers(journal: WriteAheadJournal):
     """SIGINT/SIGTERM: journal a clean ``interrupted`` record, print
     the resume command, and exit with the conventional 128+signum."""
     import threading
     if threading.current_thread() is not threading.main_thread():
         return {}
     owner = os.getpid()
-    resume = resume_command or \
-        f"repro experiment --resume {journal.run_id}"
+    resume = journal.resume_command()
 
     def handler(signum, frame):
         if os.getpid() != owner:  # a forked worker inherited us
@@ -403,8 +402,7 @@ def cmd_experiment(args) -> int:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
     print(f"run journal: {journal.directory} "
-          f"(resume: repro experiment --resume {journal.run_id})",
-          file=sys.stderr)
+          f"(resume: {journal.resume_command()})", file=sys.stderr)
     previous = _install_interrupt_handlers(journal)
     try:
         results = run_journaled(exhibits, session, journal, jobs=jobs,
@@ -529,11 +527,11 @@ def cmd_sweep(args) -> int:
             print(render_exhibits(document))
         if args.output:
             import json
-            path = args.output
-            with open(path, "w") as handle:
-                json.dump(document, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"wrote {path}")
+
+            from repro.durable import write_atomic
+            write_atomic(args.output, json.dumps(document, indent=2,
+                                                 sort_keys=True) + "\n")
+            print(f"wrote {args.output}")
         return 0
 
     if args.no_journal:
@@ -572,10 +570,9 @@ def cmd_sweep(args) -> int:
     except JournalError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
-    resume_command = f"repro sweep {bench} --resume {journal.run_id}"
     print(f"sweep journal: {journal.directory} "
-          f"(resume: {resume_command})", file=sys.stderr)
-    previous = _install_interrupt_handlers(journal, resume_command)
+          f"(resume: {journal.resume_command()})", file=sys.stderr)
+    previous = _install_interrupt_handlers(journal)
     try:
         document = run_journaled_sweep(
             bench, configs, journal=journal, target=target, scale=scale,
@@ -588,6 +585,7 @@ def cmd_sweep(args) -> int:
         _restore_handlers(previous)
     code = finish(document)
     journal.finished(code)
+    journal.close()
     return code
 
 

@@ -29,6 +29,7 @@ import time
 from contextlib import contextmanager
 from typing import Iterable, Mapping, Optional
 
+from repro.durable import write_atomic
 from repro.lvp.config import SIMPLE
 from repro.sim.functional import run_program
 from repro.trace.annotate import annotate_trace
@@ -396,12 +397,8 @@ def render_bench(document: Mapping) -> str:
 
 def write_bench(document: Mapping, path) -> pathlib.Path:
     """Atomically write a bench document as JSON."""
-    path = pathlib.Path(path)
-    temporary = path.with_suffix(path.suffix + ".tmp")
-    temporary.write_text(json.dumps(document, indent=2, sort_keys=True)
-                         + "\n")
-    temporary.replace(path)
-    return path
+    return write_atomic(path, json.dumps(document, indent=2,
+                                         sort_keys=True) + "\n")
 
 
 def load_bench(path) -> dict:

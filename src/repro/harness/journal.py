@@ -1,4 +1,11 @@
-"""Write-ahead run journal: crash-safe, resumable experiment runs.
+"""Write-ahead journals: crash-safe, resumable runs.
+
+:class:`WriteAheadJournal` is the one write-ahead primitive: a
+fingerprinted manifest, a CRC'd fsync'd JSONL journal, digest-verified
+checkpoints, and the crash-after drill.  Two record schemas sit on it:
+:class:`RunJournal` here (``repro experiment``, one pickled checkpoint
+per benchmark) and :class:`~repro.harness.sweep.SweepJournal`
+(``repro sweep``, one JSON checkpoint per grid chunk).
 
 Every journaled ``repro experiment`` run owns a *run directory*::
 
@@ -47,6 +54,7 @@ import time
 import zlib
 from typing import Optional
 
+from repro.durable import write_atomic
 from repro.errors import (
     JournalError,
     ResourceExhaustedError,
@@ -333,59 +341,76 @@ def replay_journal(path) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# The journal itself.
+# The write-ahead core and the run journal.
 # ---------------------------------------------------------------------------
-class RunJournal(EngineObserver):
-    """Write-ahead journal for one run directory.
+class WriteAheadJournal:
+    """The write-ahead primitive behind every resumable command.
 
-    Doubles as the parallel engine's observer: shard lifecycle events
-    are journalled as they happen, and a finished shard's payload is
-    checkpointed to disk *before* its ``done`` record is appended
+    One run directory holds an atomically written ``manifest.json``
+    (fingerprinted over the subclass's :attr:`IDENTITY_KEYS`), the
+    CRC'd, fsync'd ``journal.jsonl``, and one checkpoint per finished
+    unit under ``checkpoints/``.  A unit is journalled ``planned`` at
+    creation, and ``done`` only after its checkpoint is durably on disk
     (write-ahead order: the journal never claims more than the disk
-    holds).
+    holds); resumption re-hashes every checkpoint against the digest
+    its ``done`` record committed.
+
+    Subclasses supply the schema -- the class attributes below, plus
+    ``_planned_units(manifest)``, ``_checkpoint_name(unit)`` and the
+    ``_encode_checkpoint``/``_decode_checkpoint`` pair -- and their
+    observer hooks: :class:`RunJournal` (benchmarks, pickles) here and
+    :class:`~repro.harness.sweep.SweepJournal` (grid chunks, JSON).
     """
+
+    #: Manifest fields the fingerprint covers.
+    IDENTITY_KEYS: tuple = ()
+    #: Record field naming a unit (its plural names units in messages).
+    UNIT_KEY = "benchmark"
+    #: ``done``-record field carrying the checkpoint's sha256.
+    DIGEST_KEY = "checkpoint"
+    #: What a run of this kind is called in messages.
+    KIND = "run"
 
     def __init__(self, directory, manifest: dict) -> None:
         self.directory = pathlib.Path(directory)
         self.manifest = manifest
         self._fd: Optional[int] = None
-        self._cache_handle: Optional[tuple] = None
         self._checkpoints_done = 0
-        self._crash_after = self._crash_after_from_env()
+        try:
+            self._crash_after: Optional[int] = max(
+                1, int(os.environ[CRASH_AFTER_ENV]))
+        except (KeyError, ValueError):
+            self._crash_after = None
         #: Set when the disk filled up under a journal write: further
         #: appends become no-ops (the computation itself continues).
         self._degraded = False
 
-    @staticmethod
-    def _crash_after_from_env() -> Optional[int]:
-        try:
-            return max(1, int(os.environ[CRASH_AFTER_ENV]))
-        except (KeyError, ValueError):
-            return None
+    def resume_command(self) -> str:
+        """The command line that resumes this run."""
+        return f"repro experiment --resume {self.run_id}"
 
     # -- construction --------------------------------------------------------
     @classmethod
-    def create(cls, runs_dir, run_id: str, manifest: dict) -> "RunJournal":
-        """Start a fresh run directory (manifest + empty journal)."""
+    def create(cls, runs_dir, run_id: str, manifest: dict):
+        """Start a fresh run directory (manifest + planned units) and
+        point ``LATEST`` at it."""
         directory = pathlib.Path(runs_dir) / run_id
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / _CHECKPOINTS).mkdir(exist_ok=True)
+        (directory / _CHECKPOINTS).mkdir(parents=True, exist_ok=True)
         manifest = dict(manifest, run_id=run_id,
                         fingerprint=cls.fingerprint(manifest))
-        temporary = directory / (_MANIFEST + ".tmp")
-        temporary.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        temporary.replace(directory / _MANIFEST)
+        write_atomic(directory / _MANIFEST,
+                     json.dumps(manifest, indent=2, sort_keys=True))
         publish_latest(runs_dir, run_id)
         journal = cls(directory, manifest)
         journal._open()
         journal.append({"type": "run_started", "run_id": run_id})
-        for benchmark in manifest.get("benchmarks", ()):
-            journal.append({"type": "planned", "benchmark": benchmark})
+        for unit in cls._planned_units(manifest):
+            journal.append({"type": "planned", cls.UNIT_KEY: unit})
         return journal
 
     @classmethod
-    def open(cls, runs_dir, run_id: str) -> "RunJournal":
-        """Open an existing run directory for resumption."""
+    def open(cls, runs_dir, run_id: str):
+        """Open an existing run directory (or ``latest``) to resume it."""
         directory = find_run(runs_dir, run_id)
         try:
             manifest = json.loads((directory / _MANIFEST).read_text())
@@ -397,12 +422,10 @@ class RunJournal(EngineObserver):
         journal._open()
         return journal
 
-    @staticmethod
-    def fingerprint(manifest: dict) -> str:
+    @classmethod
+    def fingerprint(cls, manifest: dict) -> str:
         """Stable digest of a manifest's identity-bearing fields."""
-        identity = {key: manifest.get(key)
-                    for key in ("version", "exhibits", "scale",
-                                "benchmarks", "verify")}
+        identity = {key: manifest.get(key) for key in cls.IDENTITY_KEYS}
         return _sha256(json.dumps(identity, sort_keys=True).encode())
 
     def verify_manifest(self) -> None:
@@ -411,14 +434,14 @@ class RunJournal(EngineObserver):
         recorded = self.manifest.get("version")
         if recorded != __version__:
             raise JournalError(
-                f"run {self.run_id!r} was recorded by repro {recorded}, "
-                f"this is {__version__}: results would not be comparable "
-                f"(start a fresh run)")
+                f"{self.KIND} {self.run_id!r} was recorded by repro "
+                f"{recorded}, this is {__version__}: results would not be "
+                f"comparable (start a fresh {self.KIND})")
         expected = self.manifest.get("fingerprint")
         if expected and expected != self.fingerprint(self.manifest):
             raise JournalError(
-                f"manifest of run {self.run_id!r} does not match its "
-                f"fingerprint (edited by hand?); refusing to resume")
+                f"manifest of {self.KIND} {self.run_id!r} does not match "
+                f"its fingerprint (edited by hand?); refusing to resume")
 
     # -- plumbing ------------------------------------------------------------
     @property
@@ -475,12 +498,132 @@ class RunJournal(EngineObserver):
             return
         self._degraded = True
         print(
-            f"warning: run journal write failed ({cause}); journalling "
-            f"for run {self.run_id} stops here.  The run continues, but "
-            f"benchmarks finished from now on are not checkpointed: free "
-            f"disk space and, if this run is interrupted, resume with:\n"
-            f"  repro experiment --resume {self.run_id}",
+            f"warning: {self.KIND} journal write failed ({cause}); "
+            f"journalling for {self.KIND} {self.run_id} stops here.  The "
+            f"{self.KIND} continues, but {self.UNIT_KEY}s finished from "
+            f"now on are not checkpointed: free disk space and, if this "
+            f"{self.KIND} is interrupted, resume with:\n"
+            f"  {self.resume_command()}",
             file=sys.stderr)
+
+    # -- checkpoints ----------------------------------------------------------
+    def _checkpoint_path(self, unit) -> pathlib.Path:
+        return self.directory / _CHECKPOINTS / self._checkpoint_name(unit)
+
+    def _write_checkpoint(self, unit, payload) -> str:
+        """Durably persist one unit's payload; returns its sha256.
+
+        A full disk (or exhausted fd table) raises
+        :class:`~repro.errors.ResourceExhaustedError` after removing
+        the partial temp file, so no half-written checkpoint is left.
+        """
+        data = self._encode_checkpoint(payload)
+        write_atomic(self._checkpoint_path(unit), data)
+        return _sha256(data)
+
+    def _checkpoint(self, unit, payload) -> Optional[str]:
+        """:meth:`_write_checkpoint`, or None when the disk is full:
+        then no ``done`` record may claim a checkpoint, so the skip is
+        journalled instead and ``--resume`` re-runs the unit."""
+        try:
+            return self._write_checkpoint(unit, payload)
+        except ResourceExhaustedError as exc:
+            self.append({"type": "checkpoint_failed",
+                         self.UNIT_KEY: unit, "cause": str(exc)})
+            return None
+
+    def _commit(self, record: dict) -> None:
+        """Append a unit's ``done`` record (after its checkpoint)."""
+        self.append(record)
+        self._checkpoints_done += 1
+        if (self._crash_after is not None
+                and self._checkpoints_done >= self._crash_after):
+            # Chaos drill: die the hardest way possible (no atexit, no
+            # flush) right after the journal claims this checkpoint.
+            # Pool workers are reaped first -- a real crash would leave
+            # them to die on their broken queues, but the drill must
+            # not leave orphans holding the caller's pipes open.
+            import multiprocessing
+            for child in multiprocessing.active_children():
+                with contextlib.suppress(Exception):
+                    child.terminate()
+            os._exit(23)
+
+    # -- lifecycle records ----------------------------------------------------
+    def interrupted(self, signum: int) -> None:
+        """Journal a clean interruption (called from a signal handler)."""
+        self.append({"type": "interrupted", "signal": int(signum)})
+
+    def finished(self, exit_code: int) -> None:
+        self.append({"type": "run_finished", "exit": int(exit_code)})
+
+    # -- resumption -----------------------------------------------------------
+    def replay(self) -> list[dict]:
+        """Valid journal records, tolerating a truncated final line."""
+        if not self.journal_path.exists():
+            return []
+        return replay_journal(self.journal_path)
+
+    def completed(self) -> dict:
+        """Unit -> its latest ``done`` record."""
+        return {record[self.UNIT_KEY]: record for record in self.replay()
+                if record.get("type") == "done"}
+
+    def _load_verified(self, accept=None) -> dict:
+        """Unit -> payload of every completed unit whose checkpoint
+        matches its ``done`` digest (and *accept(payload, record)*).
+        Anything else is dropped and re-runs: resume trades work for
+        certainty, never the reverse."""
+        loaded = {}
+        for unit, record in self.completed().items():
+            try:
+                data = self._checkpoint_path(unit).read_bytes()
+            except OSError:
+                continue
+            if _sha256(data) != record.get(self.DIGEST_KEY):
+                continue
+            try:
+                payload = self._decode_checkpoint(data)
+            except Exception:
+                continue
+            if accept is None or accept(payload, record):
+                loaded[unit] = payload
+        return loaded
+
+
+class RunJournal(WriteAheadJournal, EngineObserver):
+    """Write-ahead journal of one ``repro experiment`` run.
+
+    Units are benchmarks; a finished shard's merge payload is pickled
+    to ``checkpoints/<benchmark>.pkl``, and its ``done`` record carries
+    per-unit result digests on top of the checkpoint digest.  Doubles
+    as the parallel engine's observer, journalling shard lifecycle
+    events as they happen.
+    """
+
+    IDENTITY_KEYS = ("version", "exhibits", "scale", "benchmarks", "verify")
+    _cache_handle: Optional[tuple] = None
+
+    # perfbench's tracer times the journal layer by wrapping entries of
+    # ``RunJournal.__dict__``: the shared primitives are bound here by
+    # name so that wrapping them times run journals (and only them).
+    create = vars(WriteAheadJournal)["create"]
+    append = WriteAheadJournal.append
+    finished = WriteAheadJournal.finished
+    close = WriteAheadJournal.close
+
+    @staticmethod
+    def _planned_units(manifest: dict):
+        return manifest.get("benchmarks", ())
+
+    def _checkpoint_name(self, benchmark: str) -> str:
+        return benchmark.replace("/", "_") + ".pkl"
+
+    @staticmethod
+    def _encode_checkpoint(result: _ShardResult) -> bytes:
+        return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+
+    _decode_checkpoint = staticmethod(pickle.loads)
 
     def _trace_cache(self):
         """The TraceCache the manifest names (None when uncached) --
@@ -501,38 +644,18 @@ class RunJournal(EngineObserver):
                      "units": len(spec.units)})
 
     def shard_finished(self, spec: _ShardSpec, result: _ShardResult) -> None:
-        try:
-            digest = self._write_checkpoint(result)
-        except ResourceExhaustedError as exc:
-            # No checkpoint durably on disk, so no "done" record may
-            # claim one (write-ahead order): note the skip and let the
-            # in-memory merge proceed; --resume re-runs this benchmark.
-            self.append({"type": "checkpoint_failed",
-                         "benchmark": spec.benchmark,
-                         "cause": str(exc)})
+        digest = self._checkpoint(spec.benchmark, result)
+        if digest is None:
             return
         for demotion in getattr(result, "demotions", None) or ():
             self.append({"type": "demoted", **demotion.as_dict()})
-        self.append({
+        self._commit({
             "type": "done",
             "benchmark": spec.benchmark,
             "checkpoint": digest,
             "failed": len(result.failed),
             "digests": shard_digests(result, cache=self._trace_cache()),
         })
-        self._checkpoints_done += 1
-        if (self._crash_after is not None
-                and self._checkpoints_done >= self._crash_after):
-            # Chaos drill: die the hardest way possible (no atexit, no
-            # flush) right after the journal claims this checkpoint.
-            # Pool workers are reaped first -- a real crash would leave
-            # them to die on their broken queues, but the drill must
-            # not leave orphans holding the caller's pipes open.
-            import multiprocessing
-            for child in multiprocessing.active_children():
-                with contextlib.suppress(Exception):
-                    child.terminate()
-            os._exit(23)
 
     def shard_retry(self, benchmark: str, attempt: int, delay: float,
                     cause: BaseException) -> None:
@@ -544,92 +667,21 @@ class RunJournal(EngineObserver):
         self.append({"type": "lost", "benchmark": benchmark,
                      "cause": f"{type(cause).__name__}: {cause}"})
 
-    # -- lifecycle records ----------------------------------------------------
-    def interrupted(self, signum: int) -> None:
-        """Journal a clean interruption (called from a signal handler)."""
-        self.append({"type": "interrupted", "signal": int(signum)})
-
-    def finished(self, exit_code: int) -> None:
-        self.append({"type": "run_finished", "exit": int(exit_code)})
-
-    # -- checkpoints ----------------------------------------------------------
-    def _checkpoint_path(self, benchmark: str) -> pathlib.Path:
-        safe = benchmark.replace("/", "_")
-        return self.directory / _CHECKPOINTS / f"{safe}.pkl"
-
-    def _write_checkpoint(self, result: _ShardResult) -> str:
-        """Durably persist one shard payload; returns its sha256.
-
-        A full disk (or exhausted fd table) raises
-        :class:`~repro.errors.ResourceExhaustedError` after removing
-        the partial temp file, so the caller can skip the checkpoint
-        without ever leaving a half-written ``.pkl`` behind.
-        """
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        path = self._checkpoint_path(result.benchmark)
-        temporary = path.with_suffix(".tmp")
-        try:
-            fd = os.open(temporary,
-                         os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-            try:
-                os.write(fd, payload)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            temporary.replace(path)
-        except OSError as exc:
-            with contextlib.suppress(OSError):
-                temporary.unlink()
-            if is_resource_exhaustion(exc):
-                raise ResourceExhaustedError(
-                    f"cannot checkpoint {result.benchmark}: {exc}") from exc
-            raise
-        return _sha256(payload)
-
     # -- resumption ------------------------------------------------------------
-    def replay(self) -> list[dict]:
-        """Valid journal records, tolerating a truncated final line."""
-        if not self.journal_path.exists():
-            return []
-        return replay_journal(self.journal_path)
-
-    def completed(self) -> dict[str, dict]:
-        """Benchmark -> its latest ``done`` record."""
-        done: dict[str, dict] = {}
-        for record in self.replay():
-            if record.get("type") == "done":
-                done[record["benchmark"]] = record
-        return done
-
     def load_checkpoints(self, cache=None) -> dict[str, _ShardResult]:
         """Verified merge payloads of every completed benchmark.
 
-        Each checkpoint is re-hashed against the digest its ``done``
-        record committed; a missing, unreadable, or mismatching
-        checkpoint is dropped (that benchmark simply re-runs -- resume
-        trades work for certainty, never the reverse).  When *cache* (a
+        On top of the checkpoint digest, each payload's per-unit result
+        digests must match its ``done`` record.  When *cache* (a
         :class:`~repro.harness.cache.TraceCache`) is given, every
         checkpointed trace is cross-checked against the cache's copy
         and a disagreeing cache bundle is quarantined, so a resumed run
         cannot be poisoned by a cache that rotted while the run was
         down.
         """
-        loaded: dict[str, _ShardResult] = {}
-        for benchmark, record in self.completed().items():
-            path = self._checkpoint_path(benchmark)
-            try:
-                payload = path.read_bytes()
-            except OSError:
-                continue
-            if _sha256(payload) != record.get("checkpoint"):
-                continue
-            try:
-                result = pickle.loads(payload)
-            except Exception:
-                continue
-            if shard_digests(result, cache=cache) != record.get("digests"):
-                continue
-            loaded[benchmark] = result
+        loaded = self._load_verified(
+            lambda result, record:
+            shard_digests(result, cache=cache) == record.get("digests"))
         if cache is not None:
             self._cross_check_cache(loaded, cache)
         return loaded

@@ -49,11 +49,13 @@ parallel experiment engine (grouped so stage-A/B work is amortized
 within a chunk, merged back in deterministic grid order), and every
 chunk is journalled write-ahead under ``.repro/sweeps/<run-id>/`` so
 an interrupted sweep resumes with ``repro sweep --resume`` without
-recomputing finished chunks (same manifest/journal/checkpoint pattern
-as :mod:`repro.harness.journal`, JSON checkpoints instead of pickles).
+recomputing finished chunks (:class:`SweepJournal` is a schema over
+the shared :class:`~repro.harness.journal.WriteAheadJournal` core, with
+JSON checkpoints instead of pickles).
 
 ``run_sweep_bench`` measures the shared-decode speedup against
-per-configuration :func:`annotate_trace` runs of the same grid and
+per-configuration runs of the general-path oracle
+(``annotate_trace(kernel="general")``) over the same grid and
 writes/validates/compares the committed ``BENCH_SWEEP.json`` baseline
 (see ``docs/sweep.md``).
 """
@@ -69,13 +71,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.durable import write_atomic
 from repro.errors import ConfigError, JournalError
 from repro.harness.journal import (
-    CRASH_AFTER_ENV,
-    _encode_record,
+    WriteAheadJournal,
     _sha256,
-    new_run_id,
-    replay_journal,
     trace_digest,
 )
 from repro.lvp.config import LVPConfig
@@ -101,10 +101,6 @@ DEFAULT_SWEEP_RUNS_DIR = os.path.join(".repro", "sweeps")
 
 #: Default configurations per worker chunk.
 DEFAULT_CHUNK_SIZE = 16
-
-_MANIFEST = "manifest.json"
-_JOURNAL = "journal.jsonl"
-_CHECKPOINTS = "checkpoints"
 
 
 def sweep_runs_dir_from_env(default: Optional[str] = None) -> pathlib.Path:
@@ -316,109 +312,40 @@ def run_sweep(bench: str, configs: Sequence[LVPConfig], *,
 # ---------------------------------------------------------------------------
 # The sweep journal (write-ahead, resumable).
 # ---------------------------------------------------------------------------
-class SweepJournal(SweepObserver):
-    """Write-ahead journal for one sweep run directory.
+class SweepJournal(WriteAheadJournal, SweepObserver):
+    """Write-ahead journal of one ``repro sweep`` run.
 
-    Same contract as :class:`~repro.harness.journal.RunJournal`, scoped
-    to sweep chunks: a chunk is recorded ``planned`` before any worker
-    sees it, ``started`` when handed out, and ``done`` only after its
-    cell payload is durably checkpointed (JSON, digest-verified on
-    resume).  ``REPRO_JOURNAL_CRASH_AFTER=<k>`` hard-exits the parent
-    after the k-th checkpoint, same chaos knob as experiment runs.
+    A thin schema over :class:`~repro.harness.journal.WriteAheadJournal`
+    (which owns the manifest, the CRC'd journal, durable checkpoints,
+    ``LATEST`` and the ``REPRO_JOURNAL_CRASH_AFTER`` drill): units are
+    grid chunks, recorded ``planned`` at creation, ``started`` when
+    handed out, and ``done`` only after the chunk's cell payload is
+    durably checkpointed as ``checkpoints/chunk-<n>.json``.
     """
 
-    def __init__(self, directory, manifest: dict) -> None:
-        self.directory = pathlib.Path(directory)
-        self.manifest = manifest
-        self._checkpoints_done = 0
-        try:
-            self._crash_after: Optional[int] = max(
-                1, int(os.environ[CRASH_AFTER_ENV]))
-        except (KeyError, ValueError):
-            self._crash_after = None
-
-    @classmethod
-    def create(cls, runs_dir, run_id: str, manifest: dict) -> "SweepJournal":
-        directory = pathlib.Path(runs_dir) / run_id
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / _CHECKPOINTS).mkdir(exist_ok=True)
-        manifest = dict(manifest, run_id=run_id,
-                        fingerprint=cls.fingerprint(manifest))
-        temporary = directory / (_MANIFEST + ".tmp")
-        temporary.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        temporary.replace(directory / _MANIFEST)
-        journal = cls(directory, manifest)
-        journal.append({"type": "run_started", "run_id": run_id})
-        for chunk_id in range(manifest.get("chunks", 0)):
-            journal.append({"type": "planned", "chunk": chunk_id})
-        return journal
-
-    @classmethod
-    def open(cls, runs_dir, run_id: str) -> "SweepJournal":
-        runs_dir = pathlib.Path(runs_dir)
-        if run_id == "latest":
-            candidates = sorted(
-                entry for entry in runs_dir.iterdir()
-                if entry.is_dir() and (entry / _MANIFEST).exists()
-            ) if runs_dir.is_dir() else []
-            if not candidates:
-                raise JournalError(f"no sweep runs under {runs_dir}")
-            directory = candidates[-1]
-        else:
-            directory = runs_dir / run_id
-            if not (directory / _MANIFEST).exists():
-                raise JournalError(
-                    f"no sweep run {run_id!r} under {runs_dir} "
-                    "(no manifest); try 'latest'")
-        try:
-            manifest = json.loads((directory / _MANIFEST).read_text())
-        except (OSError, ValueError) as exc:
-            raise JournalError(
-                f"unreadable manifest in {directory}: {exc}") from exc
-        journal = cls(directory, manifest)
-        journal.verify_manifest()
-        return journal
+    IDENTITY_KEYS = ("version", "bench", "target", "scale",
+                     "config_names", "chunks", "chunk_size")
+    UNIT_KEY = "chunk"
+    DIGEST_KEY = "digest"
+    KIND = "sweep"
 
     @staticmethod
-    def fingerprint(manifest: dict) -> str:
-        identity = {key: manifest.get(key)
-                    for key in ("version", "bench", "target", "scale",
-                                "config_names", "chunks", "chunk_size")}
-        return _sha256(json.dumps(identity, sort_keys=True).encode())
+    def _planned_units(manifest: dict):
+        return range(manifest.get("chunks", 0))
 
-    def verify_manifest(self) -> None:
-        from repro import __version__
-        recorded = self.manifest.get("version")
-        if recorded != __version__:
-            raise JournalError(
-                f"sweep run {self.run_id!r} was recorded by repro "
-                f"{recorded}, this is {__version__}: start a fresh sweep")
-        expected = self.manifest.get("fingerprint")
-        if expected and expected != self.fingerprint(self.manifest):
-            raise JournalError(
-                f"manifest of sweep run {self.run_id!r} does not match "
-                "its fingerprint (edited by hand?); refusing to resume")
+    def _checkpoint_name(self, chunk_id: int) -> str:
+        return f"chunk-{chunk_id}.json"
 
-    @property
-    def run_id(self) -> str:
-        return self.manifest.get("run_id", self.directory.name)
+    @staticmethod
+    def _encode_checkpoint(cells: list[dict]) -> bytes:
+        return json.dumps(cells, sort_keys=True,
+                          separators=(",", ":")).encode()
 
-    @property
-    def journal_path(self) -> pathlib.Path:
-        return self.directory / _JOURNAL
+    _decode_checkpoint = staticmethod(json.loads)
 
-    def append(self, record: dict) -> None:
-        line = _encode_record(record)
-        fd = os.open(self.journal_path,
-                     os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, line)
-            try:
-                os.fsync(fd)
-            except OSError:
-                pass
-        finally:
-            os.close(fd)
+    def resume_command(self) -> str:
+        return (f"repro sweep {self.manifest.get('bench')} "
+                f"--resume {self.run_id}")
 
     # -- observer hooks ------------------------------------------------------
     def chunk_started(self, spec: _SweepChunkSpec) -> None:
@@ -427,60 +354,14 @@ class SweepJournal(SweepObserver):
 
     def chunk_finished(self, spec: _SweepChunkSpec,
                        cells: list[dict]) -> None:
-        path = self.directory / _CHECKPOINTS / f"chunk-{spec.chunk_id}.json"
-        payload = json.dumps(cells, sort_keys=True,
-                             separators=(",", ":")).encode()
-        temporary = path.with_suffix(".tmp")
-        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-        try:
-            os.write(fd, payload)
-            try:
-                os.fsync(fd)
-            except OSError:
-                pass
-        finally:
-            os.close(fd)
-        temporary.replace(path)
-        self.append({"type": "done", "chunk": spec.chunk_id,
-                     "digest": _sha256(payload)})
-        self._checkpoints_done += 1
-        if (self._crash_after is not None
-                and self._checkpoints_done >= self._crash_after):
-            import contextlib
-            import multiprocessing
-            for child in multiprocessing.active_children():
-                with contextlib.suppress(Exception):
-                    child.terminate()
-            os._exit(23)
+        digest = self._checkpoint(spec.chunk_id, cells)
+        if digest is not None:
+            self._commit({"type": "done", "chunk": spec.chunk_id,
+                          "digest": digest})
 
-    def finished(self, exit_code: int) -> None:
-        self.append({"type": "run_finished", "exit": int(exit_code)})
-
-    def interrupted(self, signum: int) -> None:
-        self.append({"type": "interrupted", "signal": int(signum)})
-
-    # -- resumption ----------------------------------------------------------
     def load_checkpoints(self) -> dict[int, list[dict]]:
         """Verified cell payloads of every completed chunk."""
-        done: dict[int, str] = {}
-        if self.journal_path.exists():
-            for record in replay_journal(self.journal_path):
-                if record.get("type") == "done":
-                    done[int(record["chunk"])] = record.get("digest", "")
-        loaded: dict[int, list[dict]] = {}
-        for chunk_id, digest in done.items():
-            path = self.directory / _CHECKPOINTS / f"chunk-{chunk_id}.json"
-            try:
-                payload = path.read_bytes()
-            except OSError:
-                continue
-            if _sha256(payload) != digest:
-                continue
-            try:
-                loaded[chunk_id] = json.loads(payload)
-            except ValueError:
-                continue
-        return loaded
+        return self._load_verified()
 
 
 def build_sweep_manifest(bench: str, target: str, scale: str,
@@ -690,8 +571,11 @@ def run_sweep_bench(bench: str = "compress", scale: str = "tiny",
                     ) -> dict:
     """Measure the sweep's shared-decode speedup; returns the document.
 
-    The baseline is per-configuration :func:`annotate_trace` over the
-    same trace (each call re-decoding and re-walking everything).  To
+    The baseline is per-configuration ``annotate_trace`` on the
+    ``general`` kernel -- the :class:`~repro.lvp.unit.LVPUnit` oracle
+    -- over the same trace, each call re-decoding and re-walking
+    everything.  (The default ``auto`` kernel runs the sweep's own
+    staged passes, so timing it would measure only stage sharing.)  To
     keep the benchmark affordable the baseline times a deterministic
     sample of the grid and scales to the full count; the sweep side
     always evaluates the full grid.  Differential equality of every
@@ -726,7 +610,7 @@ def run_sweep_bench(bench: str = "compress", scale: str = "tiny",
     sample = list(range(0, len(grid), step))[:baseline_sample]
     base_start = time.perf_counter()
     for index in sample:
-        annotated = annotate_trace(trace, grid[index])
+        annotated = annotate_trace(trace, grid[index], kernel="general")
         digest = _sha256(
             np.ascontiguousarray(annotated.outcomes).tobytes())
         if digest != cells[index].outcome_digest:
@@ -735,7 +619,7 @@ def run_sweep_bench(bench: str = "compress", scale: str = "tiny",
                 "annotate_trace while benchmarking")
     sampled_s = time.perf_counter() - base_start
     baseline_s = sampled_s * (len(grid) / len(sample))
-    _note(f"baseline: {len(sample)} standalone annotates in "
+    _note(f"baseline: {len(sample)} general-path annotates in "
           f"{sampled_s:.2f}s (x{len(grid) / len(sample):.1f} scaled)")
 
     return {
@@ -806,7 +690,7 @@ def render_sweep_bench(document: dict) -> str:
     return (
         f"sweep bench: {document['configs']} configs over "
         f"{document['bench']}/{document['scale']}: "
-        f"sweep {document['sweep_s']:.2f}s vs per-config annotate "
+        f"sweep {document['sweep_s']:.2f}s vs per-config general annotate "
         f"{document['baseline_s']:.2f}s (sampled x"
         f"{document.get('baseline_sample', 0)}) -> "
         f"{document['speedup']:.2f}x shared-decode speedup")
@@ -814,11 +698,8 @@ def render_sweep_bench(document: dict) -> str:
 
 def write_sweep_bench(document: dict, path) -> None:
     """Atomically write a BENCH_SWEEP document."""
-    path = pathlib.Path(path)
-    temporary = path.with_suffix(path.suffix + ".tmp")
-    temporary.write_text(json.dumps(document, indent=2, sort_keys=True)
-                         + "\n")
-    temporary.replace(path)
+    write_atomic(path, json.dumps(document, indent=2, sort_keys=True)
+                 + "\n")
 
 
 def load_sweep_bench(path) -> dict:

@@ -36,6 +36,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
+from repro.durable import write_atomic
+
 #: Environment knob: truthy values enable metrics on sessions that do
 #: not pass an explicit ``metrics=`` argument; ``0``/``false`` disable
 #: them even where the CLI would default them on.
@@ -218,12 +220,8 @@ class MetricsRegistry:
 
 def write_metrics(directory, document: Mapping) -> pathlib.Path:
     """Atomically write *document* as ``metrics.json`` in *directory*."""
-    directory = pathlib.Path(directory)
-    path = directory / METRICS_FILENAME
-    temporary = directory / (METRICS_FILENAME + ".tmp")
-    temporary.write_text(json.dumps(document, indent=2, sort_keys=True))
-    temporary.replace(path)
-    return path
+    return write_atomic(pathlib.Path(directory) / METRICS_FILENAME,
+                        json.dumps(document, indent=2, sort_keys=True))
 
 
 def load_metrics(directory) -> dict:

@@ -21,6 +21,7 @@ import threading
 import time
 from typing import Any, Mapping, Optional
 
+from repro.durable import write_atomic
 from repro.errors import ServeError, ServiceOverloadError
 from repro.serve.client import ServeClient
 from repro.serve.scheduler import percentile
@@ -302,12 +303,8 @@ def render_serve_bench(document: Mapping) -> str:
 
 def write_serve_bench(document: Mapping, path) -> pathlib.Path:
     """Atomically write a serve bench document as JSON."""
-    path = pathlib.Path(path)
-    temporary = path.with_suffix(path.suffix + ".tmp")
-    temporary.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n")
-    temporary.replace(path)
-    return path
+    return write_atomic(path, json.dumps(document, indent=2,
+                                         sort_keys=True) + "\n")
 
 
 def load_serve_bench(path) -> dict:

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Optional
 
+from repro.durable import write_atomic
 from repro.errors import (
     DeadlineExceededError,
     ProtocolError,
@@ -249,7 +250,13 @@ class ReproServer:
         for path in sorted(self.pending_dir.glob("*.json")):
             try:
                 entry = json.loads(path.read_text())
-            except (OSError, ValueError):
+            except (OSError, ValueError) as exc:
+                # Torn or damaged: nothing to resume from, and left in
+                # place it would count in pending_resumes forever.
+                print(f"repro serve: dropping unreadable parked request "
+                      f"{path.name} ({exc})", file=sys.stderr, flush=True)
+                with contextlib.suppress(OSError):
+                    path.unlink()
                 continue
             key = path.stem
             if (self.results_dir / f"{key}.json").exists():
@@ -373,20 +380,14 @@ class ReproServer:
         path = self.pending_dir / f"{key}.json"
         if path.exists():
             return
-        document = {"op": "experiment", "params": params,
-                    "run_id": run_id}
-        temporary = path.with_suffix(".tmp")
-        temporary.write_text(json.dumps(document, sort_keys=True))
-        temporary.replace(path)
+        write_atomic(path, json.dumps({"op": "experiment", "params": params,
+                                       "run_id": run_id}, sort_keys=True))
 
     def _store_result(self, key: str, params: dict[str, Any],
                       result: dict[str, Any]) -> None:
-        path = self.results_dir / f"{key}.json"
-        document = {"op": "experiment", "params": params,
-                    "result": result}
-        temporary = path.with_suffix(".tmp")
-        temporary.write_text(json.dumps(document, sort_keys=True))
-        temporary.replace(path)
+        write_atomic(self.results_dir / f"{key}.json",
+                     json.dumps({"op": "experiment", "params": params,
+                                 "result": result}, sort_keys=True))
 
     def _load_result(self, key: str) -> Optional[dict[str, Any]]:
         path = self.results_dir / f"{key}.json"
@@ -405,9 +406,8 @@ class ReproServer:
                     "http_port": self.http_port,
                     "scale": self.config.scale,
                     "proto": protocol.PROTOCOL_ID}
-        temporary = self.state_dir / "server.json.tmp"
-        temporary.write_text(json.dumps(document, sort_keys=True))
-        temporary.replace(self.state_dir / "server.json")
+        write_atomic(self.state_dir / "server.json",
+                     json.dumps(document, sort_keys=True))
 
     def _write_service_metrics(self) -> None:
         with contextlib.suppress(Exception):

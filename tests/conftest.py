@@ -7,6 +7,7 @@ tests request the same cache.
 
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
 import tempfile
@@ -25,21 +26,39 @@ def pytest_addoption(parser):
              "the current code instead of comparing against it")
 
 
-def pytest_configure(config):
-    """Give Hypothesis a throwaway home before collection touches it.
+#: pytest-benchmark's default storage: ``.benchmarks/`` in the working
+#: directory, created when the plugin is configured.
+_BENCHMARK_STORAGE_DEFAULT = "file://./.benchmarks"
 
-    Hypothesis keeps its example database and constants cache under
-    ``.hypothesis/`` in the working directory, and creates it while
-    test modules are collected -- before any fixture can run.
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_configure(config):
+    """Snapshot the checkout, then give plugins a throwaway home.
+
+    The snapshot is taken before any other plugin is configured, so
+    the session-end check in :func:`hermetic_checkout` also sees what
+    configuration and collection create.  Hypothesis keeps its example
+    database under ``.hypothesis/`` and creates it while test modules
+    are collected; pytest-benchmark creates its storage directory when
+    it is configured (after this hook).  Both are pointed at one
+    temporary directory; an explicit ``--benchmark-storage`` wins.
     """
     from hypothesis.configuration import set_hypothesis_home_dir
 
-    config._hypothesis_home = tempfile.mkdtemp(prefix="repro-hypothesis-")
-    set_hypothesis_home_dir(config._hypothesis_home)
+    config._checkout_before = None \
+        if config.getoption("--update-golden") \
+        else _checkout_status(str(config.rootpath))
+    config._scratch_home = tempfile.mkdtemp(prefix="repro-pytest-")
+    set_hypothesis_home_dir(os.path.join(config._scratch_home,
+                                         "hypothesis"))
+    if getattr(config.option, "benchmark_storage", None) \
+            == _BENCHMARK_STORAGE_DEFAULT:
+        config.option.benchmark_storage = "file://" + os.path.join(
+            config._scratch_home, "benchmarks")
 
 
 def pytest_unconfigure(config):
-    home = getattr(config, "_hypothesis_home", None)
+    home = getattr(config, "_scratch_home", None)
     if home is not None:
         shutil.rmtree(home, ignore_errors=True)
 
@@ -48,7 +67,9 @@ def _checkout_status(root: str):
     """``git status --porcelain --ignored`` entries of *root* (build
     caches excluded), or None outside a git checkout.  Untracked and
     ignored files are listed one by one, so a file added inside an
-    ignored directory that already exists (``.repro/``) still shows."""
+    ignored directory that already exists (``.repro/``) still shows.
+    Git lists no empty directory, so the top-level entries of *root*
+    are named too: an empty ``.benchmarks/`` shows as well."""
     try:
         proc = subprocess.run(
             ["git", "status", "--porcelain", "--ignored",
@@ -58,8 +79,11 @@ def _checkout_status(root: str):
         return None
     if proc.returncode != 0:
         return None
-    return {line for line in proc.stdout.splitlines()
-            if "__pycache__/" not in line}
+    entries = {line for line in proc.stdout.splitlines()
+               if "__pycache__/" not in line}
+    entries.update(f"entry {name}" for name in os.listdir(root)
+                   if name != "__pycache__")
+    return entries
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -70,12 +94,12 @@ def hermetic_checkout(request, tmp_path_factory):
     process or as a subprocess inheriting the environment -- journals
     under a session tmp dir instead of ``.repro/``.  At session end the
     checkout must show no ``git status --porcelain --ignored`` entry
-    that it did not show at the start (``--update-golden`` runs are
-    exempt: rewriting the golden files is their purpose).
+    (nor top-level entry) that it did not show when pytest was
+    configured (``--update-golden`` runs are exempt: rewriting the
+    golden files is their purpose).
     """
     root = str(request.config.rootpath)
-    checked = not request.config.getoption("--update-golden")
-    before = _checkout_status(root) if checked else None
+    before = request.config._checkout_before
     runs = tmp_path_factory.mktemp("runs")
     patch = pytest.MonkeyPatch()
     patch.setenv("REPRO_RUNS_DIR", str(runs / "experiments"))

@@ -185,7 +185,7 @@ class TestJournalDegradation:
                           cache_dir=None, units=(), unit_timeout=0.0)
         monkeypatch.setattr(
             journal, "_write_checkpoint",
-            lambda result: (_ for _ in ()).throw(
+            lambda unit, result: (_ for _ in ()).throw(
                 ResourceExhaustedError("disk full")))
         journal.shard_finished(spec, result)
         journal.close()
@@ -211,7 +211,7 @@ class TestJournalDegradation:
 
         monkeypatch.setattr(os, "open", enospc_open)
         with pytest.raises(ResourceExhaustedError):
-            journal._write_checkpoint(result)
+            journal._write_checkpoint("b1", result)
         assert list((tmp_path / "run" / "checkpoints").iterdir()) == []
 
     def test_demotions_are_journalled(self, tmp_path):

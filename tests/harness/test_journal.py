@@ -1,8 +1,14 @@
-"""Unit tests for the write-ahead run journal, retry policy, cache
-lock bounding, and the --jobs/--unit-timeout validation layer."""
+"""Unit tests for the write-ahead journals, retry policy, cache lock
+bounding, and the --jobs/--unit-timeout validation layer.
+
+The write-ahead contract (line format, truncation tolerance, CRC,
+checkpoints, manifest identity, disk-full degradation) is one suite
+run against both journal kinds; ``LATEST`` has its own suite in
+``test_latest_pointer.py``."""
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 
@@ -24,11 +30,11 @@ from repro.harness.journal import (
     new_run_id,
     prune_runs,
     replay_journal,
-    shard_digests,
 )
 from repro.harness.parallel import (
     WorkUnit,
     _ShardResult,
+    _ShardSpec,
     default_workplan,
     jobs_from_env,
     unit_timeout_from_env,
@@ -36,6 +42,12 @@ from repro.harness.parallel import (
 )
 from repro.harness.retry import RetryPolicy, call_with_retries
 from repro.harness.session import Session
+from repro.harness.sweep import (
+    SweepJournal,
+    _SweepChunkSpec,
+    build_sweep_manifest,
+)
+from repro.lvp import sensitivity_grid
 
 try:
     import fcntl
@@ -64,17 +76,77 @@ def _manifest(**overrides) -> dict:
     return manifest
 
 
-class TestJournalLines:
+# ---------------------------------------------------------------------------
+# The write-ahead contract both journals inherit from WriteAheadJournal.
+# Each contract mixin runs once per journal kind: the Test* classes below
+# bind it to RunJournal (keeping their historical names) and to
+# SweepJournal.
+# ---------------------------------------------------------------------------
+class RunKind:
+    """RunJournal under the contract: benchmark units, pickled shards."""
+
+    cls = RunJournal
+    unit = "b1"
+    planned = ["run_started", "planned", "planned"]
+    #: An identity-bearing manifest field and a value it was not
+    #: fingerprinted with.
+    identity_edit = ("scale", "small")
+
+    @staticmethod
+    def manifest() -> dict:
+        return _manifest()
+
+    @staticmethod
+    def finish_unit(journal):
+        """Checkpoint one unit through the observer hook; returns the
+        payload the journal must hand back on resume."""
+        shard = _empty_shard("b1")
+        journal.shard_finished(
+            _ShardSpec(benchmark="b1", scale="tiny", verify=True,
+                       cache_dir=None, units=()), shard)
+        return shard
+
+
+class SweepKind:
+    """SweepJournal under the contract: grid chunks, JSON cell lists."""
+
+    cls = SweepJournal
+    unit = 0
+    planned = ["run_started", "planned", "planned"]
+    identity_edit = ("bench", "grep")
+
+    @staticmethod
+    def manifest() -> dict:
+        return build_sweep_manifest("compress", "ppc", "tiny",
+                                    sensitivity_grid()[:8],
+                                    chunk_size=4, jobs=1)
+
+    @staticmethod
+    def finish_unit(journal):
+        cells = [{"name": "x", "accuracy": 0.5}]
+        journal.chunk_finished(
+            _SweepChunkSpec(chunk_id=0, bench="compress", target="ppc",
+                            scale="tiny", cache_dir=None, configs=()),
+            cells)
+        return cells
+
+
+class _LinesContract:
+    kind = RunKind
+
+    def _create(self, tmp_path):
+        return self.kind.cls.create(tmp_path, "r1", self.kind.manifest())
+
     def test_write_replay_round_trip(self, tmp_path):
-        journal = RunJournal.create(tmp_path, "r1", _manifest())
-        journal.append({"type": "done", "benchmark": "b1",
-                        "checkpoint": "x", "digests": {}})
+        journal = self._create(tmp_path)
+        self.kind.finish_unit(journal)
+        journal.finished(0)
         journal.close()
         types = [r["type"] for r in replay_journal(journal.journal_path)]
-        assert types == ["run_started", "planned", "planned", "done"]
+        assert types == self.kind.planned + ["done", "run_finished"]
 
     def test_truncated_trailing_line_tolerated(self, tmp_path):
-        journal = RunJournal.create(tmp_path, "r1", _manifest())
+        journal = self._create(tmp_path)
         journal.close()
         path = journal.journal_path
         before = [r["type"] for r in replay_journal(path)]
@@ -82,7 +154,7 @@ class TestJournalLines:
         assert [r["type"] for r in replay_journal(path)] == before
 
     def test_interior_damage_raises(self, tmp_path):
-        journal = RunJournal.create(tmp_path, "r1", _manifest())
+        journal = self._create(tmp_path)
         journal.close()
         path = journal.journal_path
         lines = path.read_bytes().split(b"\n")
@@ -92,7 +164,7 @@ class TestJournalLines:
             replay_journal(path)
 
     def test_crc_protects_payload(self, tmp_path):
-        journal = RunJournal.create(tmp_path, "r1", _manifest())
+        journal = self._create(tmp_path)
         journal.close()
         path = journal.journal_path
         # Flip a byte inside the first record's payload but keep the
@@ -104,6 +176,73 @@ class TestJournalLines:
         with pytest.raises(JournalError):
             replay_journal(path)
 
+
+class _CheckpointContract:
+    kind = RunKind
+
+    def test_finished_shard_checkpoints_and_resumes(self, tmp_path):
+        journal = self.kind.cls.create(tmp_path, "r1", self.kind.manifest())
+        payload = self.kind.finish_unit(journal)
+        journal.close()
+        reopened = self.kind.cls.open(tmp_path, "r1")
+        assert reopened.load_checkpoints() == {self.kind.unit: payload}
+
+    def test_tampered_checkpoint_dropped(self, tmp_path):
+        journal = self.kind.cls.create(tmp_path, "r1", self.kind.manifest())
+        self.kind.finish_unit(journal)
+        journal._checkpoint_path(self.kind.unit).write_bytes(b"rotten")
+        assert journal.load_checkpoints() == {}
+
+    def test_missing_checkpoint_dropped(self, tmp_path):
+        journal = self.kind.cls.create(tmp_path, "r1", self.kind.manifest())
+        self.kind.finish_unit(journal)
+        journal._checkpoint_path(self.kind.unit).unlink()
+        assert journal.load_checkpoints() == {}
+
+    def test_disk_full_degrades_instead_of_raising(self, tmp_path,
+                                                   monkeypatch, capsys):
+        journal = self.kind.cls.create(tmp_path, "r1", self.kind.manifest())
+
+        def enospc(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "write", enospc)
+        self.kind.finish_unit(journal)  # neither append nor checkpoint
+        journal.finished(0)             # may kill the computation
+        monkeypatch.undo()
+        journal.close()
+        assert journal._degraded
+        assert journal.resume_command() in capsys.readouterr().err
+        assert journal.completed() == {}
+        assert list((tmp_path / "r1" / "checkpoints").iterdir()) == []
+        assert [r["type"] for r in journal.replay()] == self.kind.planned
+
+
+class _ManifestContract:
+    kind = RunKind
+
+    def test_version_mismatch_refuses_resume(self, tmp_path):
+        self.kind.cls.create(tmp_path, "r1", self.kind.manifest()).close()
+        manifest_path = tmp_path / "r1" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = "0.0.0-other"
+        manifest["fingerprint"] = self.kind.cls.fingerprint(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(JournalError, match="0.0.0-other"):
+            self.kind.cls.open(tmp_path, "r1")
+
+    def test_fingerprint_detects_tampering(self, tmp_path):
+        self.kind.cls.create(tmp_path, "r1", self.kind.manifest()).close()
+        manifest_path = tmp_path / "r1" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        key, value = self.kind.identity_edit
+        manifest[key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(JournalError, match="fingerprint"):
+            self.kind.cls.open(tmp_path, "r1")
+
+
+class TestJournalLines(_LinesContract):
     def test_damaged_single_line_journal_replays_empty(self, tmp_path):
         # With only one (damaged) line, it IS the trailing line: the
         # truncation tolerance applies and replay yields nothing.
@@ -112,47 +251,11 @@ class TestJournalLines:
         assert replay_journal(path) == []
 
 
-class TestCheckpoints:
-    def test_finished_shard_checkpoints_and_resumes(self, tmp_path):
-        journal = RunJournal.create(tmp_path, "r1", _manifest())
-        shard = _empty_shard()
-        digest = journal._write_checkpoint(shard)
-        journal.append({"type": "done", "benchmark": "b1",
-                        "checkpoint": digest,
-                        "digests": shard_digests(shard)})
-        journal.close()
-        reopened = RunJournal.open(tmp_path, "r1")
-        loaded = reopened.load_checkpoints()
-        assert set(loaded) == {"b1"}
-        assert loaded["b1"].benchmark == "b1"
-
-    def test_tampered_checkpoint_dropped(self, tmp_path):
-        journal = RunJournal.create(tmp_path, "r1", _manifest())
-        shard = _empty_shard()
-        digest = journal._write_checkpoint(shard)
-        journal.append({"type": "done", "benchmark": "b1",
-                        "checkpoint": digest,
-                        "digests": shard_digests(shard)})
-        journal._checkpoint_path("b1").write_bytes(b"rotten")
-        assert journal.load_checkpoints() == {}
-
-    def test_missing_checkpoint_dropped(self, tmp_path):
-        journal = RunJournal.create(tmp_path, "r1", _manifest())
-        journal.append({"type": "done", "benchmark": "b1",
-                        "checkpoint": "0" * 64, "digests": {}})
-        assert journal.load_checkpoints() == {}
+class TestCheckpoints(_CheckpointContract):
+    pass
 
 
-class TestManifest:
-    def test_version_mismatch_refuses_resume(self, tmp_path):
-        RunJournal.create(tmp_path, "r1", _manifest()).close()
-        manifest_path = tmp_path / "r1" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["version"] = "0.0.0-other"
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(JournalError):
-            RunJournal.open(tmp_path, "r1")
-
+class TestManifest(_ManifestContract):
     def test_build_manifest_records_identity(self):
         session = Session(scale="tiny", benchmarks=("grep",))
         manifest = build_manifest(["tab1"], session, jobs=2,
@@ -161,6 +264,11 @@ class TestManifest:
         assert manifest["benchmarks"] == ["grep"]
         assert manifest["jobs"] == 2
         assert manifest["unit_timeout"] == 1.5
+
+
+class TestSweepJournalContract(_LinesContract, _CheckpointContract,
+                               _ManifestContract):
+    kind = SweepKind
 
 
 class TestRunDirectories:

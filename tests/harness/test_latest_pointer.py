@@ -23,6 +23,8 @@ from repro.harness.journal import (
     find_run,
     publish_latest,
 )
+from repro.harness.sweep import SweepJournal, build_sweep_manifest
+from repro.lvp import sensitivity_grid
 
 MANIFEST = {"version": "t", "exhibits": [], "scale": "tiny",
             "benchmarks": ["b1"], "verify": True}
@@ -79,6 +81,22 @@ class TestPointerSemantics:
         journal = RunJournal.create(tmp_path, "run-a", MANIFEST)
         journal.close()
         assert find_run(tmp_path, "latest").name == "run-a"
+
+    def test_sweep_create_publishes_and_open_resolves(self, tmp_path):
+        """Sweep runs share the pointer: ``SweepJournal.open(dir,
+        "latest")`` must resolve through it, not a directory scan."""
+        manifest = build_sweep_manifest("compress", "ppc", "tiny",
+                                        sensitivity_grid()[:4],
+                                        chunk_size=2, jobs=1)
+        created = SweepJournal.create(tmp_path, "sweep-b", manifest)
+        assert (tmp_path / _LATEST).read_text().strip() == "sweep-b"
+        created.close()
+        # A lexically newer directory that the scan would pick, but the
+        # pointer does not name (a run mid-creation, manifest written).
+        _make_run(tmp_path, "sweep-c")
+        journal = SweepJournal.open(tmp_path, "latest")
+        journal.close()
+        assert journal.run_id == "sweep-b"
 
 
 def _racer(runs_dir: str, run_id: str) -> None:

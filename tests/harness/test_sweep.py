@@ -13,7 +13,7 @@ and diff against an uninterrupted control run, serially and under
 
 from __future__ import annotations
 
-import json
+import errno
 import os
 import subprocess
 import sys
@@ -31,6 +31,7 @@ from repro.harness.sweep import (
     plan_chunks,
     render_exhibits,
     render_sweep,
+    run_journaled_sweep,
     run_sweep,
     validate_sweep,
     validate_sweep_bench,
@@ -182,49 +183,71 @@ class TestRunSweep:
 
 
 class TestSweepJournalUnit:
-    def _manifest(self, grid):
-        return build_sweep_manifest("compress", "ppc", "tiny", grid,
-                                    chunk_size=4, jobs=1)
-
-    def test_fingerprint_detects_tampering(self, tmp_path):
-        grid = sensitivity_grid()[:8]
-        journal = SweepJournal.create(tmp_path, "run", self._manifest(grid))
-        manifest_path = journal.directory / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["bench"] = "grep"
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(JournalError):
-            SweepJournal.open(tmp_path, "run")
-
-    def test_version_mismatch_refuses_resume(self, tmp_path):
-        grid = sensitivity_grid()[:8]
-        journal = SweepJournal.create(tmp_path, "run", self._manifest(grid))
-        manifest_path = journal.directory / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["version"] = "0.0.0-ancient"
-        manifest["fingerprint"] = SweepJournal.fingerprint(manifest)
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(JournalError):
-            SweepJournal.open(tmp_path, "run")
-
-    def test_damaged_checkpoint_is_not_loaded(self, tmp_path):
-        grid = sensitivity_grid()[:8]
-        journal = SweepJournal.create(tmp_path, "run", self._manifest(grid))
-        spec_cells = [{"name": "x"}]
-        from repro.harness.sweep import _SweepChunkSpec
-        spec = _SweepChunkSpec(chunk_id=0, bench="compress", target="ppc",
-                               scale="tiny", cache_dir=None, configs=())
-        journal.chunk_finished(spec, spec_cells)
-        assert journal.load_checkpoints() == {0: spec_cells}
-        checkpoint = journal.directory / "checkpoints" / "chunk-0.json"
-        checkpoint.write_text("[{\"name\": \"tampered\"}]")
-        assert journal.load_checkpoints() == {}
+    """Sweep-specific journal behaviour.  The write-ahead contract the
+    sweep journal shares with experiment runs (CRC, truncation,
+    checkpoints, manifest identity, disk-full degradation) is held by
+    ``tests/harness/test_journal.py::TestSweepJournalContract``."""
 
     def test_missing_run_errors(self, tmp_path):
         with pytest.raises(JournalError):
             SweepJournal.open(tmp_path, "latest")
         with pytest.raises(JournalError):
             SweepJournal.open(tmp_path, "nope")
+
+    def test_disk_full_sweep_completes_and_resumes(self, tmp_path,
+                                                   monkeypatch, capsys):
+        """ENOSPC under the journal must not kill the sweep it only
+        describes: the document matches an unjournaled run, the journal
+        degrades with a resume hint, and a resume re-runs exactly the
+        chunks the journal could not attest."""
+        grid = grid_from_args("lvpt=256,1024;bits=1,2;cvu=0,32", None)
+        control = run_sweep("compress", grid, scale="tiny",
+                            cache_dir=str(tmp_path / "cache"),
+                            chunk_size=3)
+        runs = tmp_path / "runs"
+        journal = SweepJournal.create(
+            runs, "full", build_sweep_manifest("compress", "ppc", "tiny",
+                                               grid, chunk_size=3, jobs=1,
+                                               cache_dir=str(tmp_path
+                                                             / "cache")))
+        real_write = os.write
+        # The disk fills up once the first chunk is attested: its
+        # started + checkpoint + done writes go through.
+        budget = [3]
+
+        def filling_write(fd, data):
+            if budget[0] <= 0:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            budget[0] -= 1
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", filling_write)
+        document = run_journaled_sweep(
+            "compress", grid, journal=journal, scale="tiny",
+            cache_dir=str(tmp_path / "cache"))
+        monkeypatch.undo()
+        journal.close()
+        assert journal._degraded
+        assert f"--resume {journal.run_id}" in capsys.readouterr().err
+        for volatile in ("wall_s", "jobs", "run_id"):
+            document.pop(volatile, None)
+            control.pop(volatile, None)
+        assert document == control
+
+        chunks = len(plan_chunks(grid, 3))
+        assert set(journal.completed()) == {0}
+        resumed = SweepJournal.open(runs, "full")
+        again = run_journaled_sweep(
+            "compress", grid, journal=resumed, scale="tiny",
+            cache_dir=str(tmp_path / "cache"), resume=True)
+        resumed.close()
+        rerun = [r["chunk"] for r in resumed.replay()
+                 if r["type"] == "started"]
+        assert rerun[1:] == list(range(1, chunks))
+        assert set(resumed.completed()) == set(range(chunks))
+        for volatile in ("wall_s", "jobs", "run_id"):
+            again.pop(volatile, None)
+        assert again == control
 
 
 class TestSweepBenchDocuments:

@@ -222,3 +222,26 @@ class TestDrainOp:
             assert "drained" in stderr
         finally:
             daemon.stop()
+
+
+class TestParkedRecovery:
+    def test_unreadable_pending_entry_is_dropped(self, tmp_path):
+        """A torn ``pending/<key>.json`` cannot be resumed: startup
+        recovery must drop it with one stderr line, not leave it to be
+        counted in ``pending_resumes`` forever."""
+        pending = tmp_path / "state" / "pending"
+        pending.mkdir(parents=True)
+        torn = pending / ("0" * 64 + ".json")
+        torn.write_text('{"op": "experiment", "params": {"exh')
+        daemon = _Daemon(tmp_path / "state")
+        try:
+            with ServeClient(daemon.socket_path) as client:
+                assert client.wait_until_ready(timeout=60.0)
+                assert client.status()["pending_resumes"] == 0
+            assert not torn.exists()
+        finally:
+            code, stderr = daemon.stop()
+        assert code == 0, stderr[-2000:]
+        dropped = [line for line in stderr.splitlines()
+                   if "dropping unreadable parked request" in line]
+        assert len(dropped) == 1 and torn.name in dropped[0]
